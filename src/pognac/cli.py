@@ -40,9 +40,15 @@ _GENERATOR_NOTES = {
 }
 
 
+def _not_nan(value: float, text: str) -> float:
+    if math.isnan(value):
+        raise ValueError(f"expected a number, got {text!r}")
+    return value
+
+
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        return _not_nan(float(text), text)
     except ValueError:
         raise ValueError(f"expected a number, got {text!r}") from None
 
@@ -55,7 +61,7 @@ def _scaled_in(exponent: int):
 
     def parse(text: str) -> float:
         try:
-            return float(Decimal(text).scaleb(exponent))
+            return _not_nan(float(Decimal(text).scaleb(exponent)), text)
         except (InvalidOperation, ValueError):
             raise ValueError(f"expected a number, got {text!r}") from None
 
@@ -95,6 +101,15 @@ def _positive(name):
     def check(v):
         if v <= 0:
             raise ValueError(f"{name} must be positive, got {v}")
+        return v
+
+    return check
+
+
+def _positive_finite(name):
+    def check(v):
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
         return v
 
     return check
@@ -141,12 +156,12 @@ _KEY_TABLE = {
     "dark_count_prob": (_parse_float, _unit_interval("dark_count_prob")),
     "measure_basis": (_parse_choice("HV", "DA"), _identity),
     "double_click_policy": (_parse_choice("discard", "random"), _identity),
-    "repetition_rate_hz": (_parse_float, _positive("repetition_rate_hz")),
-    "duration_s": (_parse_float, _positive("duration_s")),
-    "window_s": (_parse_float, _positive("window_s")),
+    "repetition_rate_hz": (_parse_float, _positive_finite("repetition_rate_hz")),
+    "duration_s": (_parse_float, _positive_finite("duration_s")),
+    "window_s": (_parse_float, _positive_finite("window_s")),
     "sequence_mode": (_parse_choice("hvd-pseudorandom", "da-alternating"), _identity),
-    "sequence_seed": (_parse_int, _identity),
-    "detection_seed": (_parse_int, _identity),
+    "sequence_seed": (_parse_int, _nonneg("sequence_seed")),
+    "detection_seed": (_parse_int, _nonneg("detection_seed")),
 }
 
 _DEFAULT_CONFIG = RunConfig()

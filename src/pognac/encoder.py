@@ -4,7 +4,8 @@ The loop maps the drive timing onto a phase difference between the
 clockwise and counter-clockwise transits; only that difference reaches the
 output state, so disturbances common to both directions cancel. This module
 covers transit timing, drive-to-phase conversion, the output-state algebra,
-a drift model to exercise the self-compensation, and full pulse emission.
+a drift model to exercise the self-compensation, and pulse emission: the
+array kernel ``emit_batch`` and its per-pulse adapter ``emit_pulse``.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .elements import ElementParams, db_to_power, phase_from_voltage
 from .errors import ConfigurationError
-from .polarization import SQRT_HALF, JonesVector, TransferMatrix, apply
+from .polarization import SQRT_HALF, JonesVector, TransferMatrix, transform
 from .waveform import (
     MODE_FOUR_LEVEL,
     MODE_TWO_LEVEL,
@@ -44,6 +46,11 @@ _TRUNC_NORM = math.erf(GAUSS_TRUNCATION_SIGMA / math.sqrt(2.0))
 # polarization controller.
 POST_PC_LABEL = {"D": "D", "L": "H", "R": "V", "A": "A"}
 
+# Encoder-frame label of each int8 label code. Code c is also the c-th
+# receiver-frame label in row order (H, V, D, A) and the c-th draw of the
+# hvd-pseudorandom generator (L, R, D).
+LABEL_CODES = ("L", "R", "D", "A")
+
 # Encoder-frame phase difference phi_e - phi_l that nominally produces each
 # label (phi0 = 0 frame).
 NOMINAL_PHASE = {"D": 0.0, "L": math.pi / 2.0, "R": -math.pi / 2.0, "A": math.pi}
@@ -61,6 +68,8 @@ class DriftProfile:
     kind "linear":     theta = amplitude_rad + rate_rad_per_s * t
                        (rate 0 gives a constant offset)
     kind "sinusoidal": theta = amplitude_rad * sin(2 pi t / period_s)
+
+    Times may be floats or numpy arrays.
     """
 
     kind: str = DRIFT_NONE
@@ -80,7 +89,7 @@ class DriftProfile:
         if self.kind == DRIFT_LINEAR:
             return self.amplitude_rad + self.rate_rad_per_s * t
         if self.kind == DRIFT_SINUSOIDAL:
-            return self.amplitude_rad * math.sin(2.0 * math.pi * t / self.period_s)
+            return self.amplitude_rad * np.sin(2.0 * math.pi * t / self.period_s)
         return 0.0
 
     def theta_diff(self, t1: float, t2: float) -> float:
@@ -286,21 +295,80 @@ def output_pc_mapping() -> TransferMatrix:
     return _OUTPUT_PC
 
 
-@lru_cache(maxsize=256)
-def _drive_phases(label: str, config: EncoderConfig) -> tuple[float, float, bool, float]:
-    """(phi_e, phi_l, driven, mean_photon_out) for one label under one config.
+class LabelTable(NamedTuple):
+    """Per-label-code drive phases and phase-jitter sigma of one encoder
+    config (read-only arrays indexed by label code), plus the mean photon
+    number every pulse leaves with."""
+
+    phi_e: np.ndarray
+    phi_l: np.ndarray
+    sigma: np.ndarray
+    mu: float
+
+
+@lru_cache(maxsize=64)
+def label_table(config: EncoderConfig) -> LabelTable:
+    """Drive phases picked up by the CW (phi_e) and CCW (phi_l) transits and
+    the jitter sigma of each label, built once per config.
 
     Waveform times are relative to the slot trigger: the CW transit crosses
-    the modulator at 0, the CCW one a transit lead later.
+    the modulator at 0, the CCW one a transit lead later. Every slot gets
+    the baseline jitter; slots that carry a drive pulse add the drive
+    jitter in quadrature.
     """
     lead = loop_transit_lead(config.delta_l_m, config.fiber_index)
-    w = pattern_for_state(label, config.pattern_spec(), 0.0, lead, config.vpi)
-    phi_e, phi_l = phases_from_waveform(w, 0.0, lead, config.vpi, config.optical_fwhm_s)
-    return phi_e, phi_l, bool(w.segments), config.mean_photon_out()
+    spec = config.pattern_spec()
+    rows = []
+    for label in LABEL_CODES:
+        w = pattern_for_state(label, spec, 0.0, lead, config.vpi)
+        phi_e, phi_l = phases_from_waveform(w, 0.0, lead, config.vpi, config.optical_fwhm_s)
+        sigma = config.phase_jitter_sigma
+        if w.segments:
+            sigma = math.hypot(sigma, config.drive_jitter_sigma)
+        rows.append((phi_e, phi_l, sigma))
+    columns = [np.array(col) for col in zip(*rows)]
+    for col in columns:
+        col.setflags(write=False)
+    return LabelTable(*columns, config.mean_photon_out())
+
+
+def emit_batch(codes, t, normals, config: EncoderConfig, inline: bool = False):
+    """Receiver-frame states of pulses with label codes ``codes`` emitted at
+    times ``t``, as amplitudes (h.real, h.imag, v.real, v.imag).
+
+    ``normals`` holds one standard normal draw per pulse; sigma * z is how
+    numpy's own normal(0, sigma) scales it, so a stream drawn here matches
+    one drawn pulse by pulse. The chain is that of the scalar building
+    blocks: encode_with_drift (or, with ``inline``, inline_encoder_reference,
+    where the drift adds straight onto the applied phase) -> output
+    controller -> normalization, in the same operation order. Arguments may
+    be arrays or scalars.
+    """
+    table = label_table(config)
+    phi0 = config.phi0 + config.elements.pc_misalignment_eps
+    x = table.phi_e[codes] + table.sigma[codes] * normals
+    if inline:
+        x = x - table.phi_l[codes] - phi0 + config.drift.theta(t)
+    else:
+        lead = loop_transit_lead(config.delta_l_m, config.fiber_index)
+        x = x + config.drift.theta_diff(t, t + lead) - table.phi_l[codes] - phi0
+    loop_v_re, loop_v_im = np.cos(x) * SQRT_HALF, np.sin(x) * SQRT_HALF
+    h_re, h_im, v_re, v_im = transform(_OUTPUT_PC, SQRT_HALF, 0.0, loop_v_re, loop_v_im)
+    n = np.sqrt((h_re * h_re + h_im * h_im) + (v_re * v_re + v_im * v_im))
+    return h_re / n, h_im / n, v_re / n, v_im / n
+
+
+def label_code(label: str) -> int:
+    """int8 code of an encoder-frame label."""
+    try:
+        return LABEL_CODES.index(label)
+    except ValueError:
+        raise ConfigurationError(f"unknown state label {label!r}; expected one of {LABEL_CODES}") from None
 
 
 def emit_pulse(label: str, t: float, config: EncoderConfig, rng_seed) -> EmittedPulse:
-    """Emit one attenuated pulse at absolute time ``t``.
+    """Emit one attenuated pulse at absolute time ``t``: emit_batch for a
+    single pulse.
 
     Runs the full chain: drive pattern -> modulator phases -> loop output
     with drift -> output controller -> receiver-frame state, with the mean
@@ -308,21 +376,9 @@ def emit_pulse(label: str, t: float, config: EncoderConfig, rng_seed) -> Emitted
     ``rng_seed`` (anything numpy's default_rng accepts, including a hot
     Generator when the caller manages streams itself).
     """
-    phi_e, phi_l, driven, mu = _drive_phases(label, config)
-    rng = np.random.default_rng(rng_seed)
-    sigma = config.phase_jitter_sigma
-    if driven:
-        sigma = math.hypot(sigma, config.drive_jitter_sigma)
+    code = label_code(label)
     # Drawn even at sigma = 0 so toggling noise never shifts the stream.
-    delta = rng.normal(0.0, sigma)
-    lead = loop_transit_lead(config.delta_l_m, config.fiber_index)
-    loop_state = encode_with_drift(
-        phi_e + delta,
-        phi_l,
-        config.phi0 + config.elements.pc_misalignment_eps,
-        config.drift,
-        t,
-        t + lead,
-    )
-    out = apply(_OUTPUT_PC, loop_state).state
-    return EmittedPulse(t, out, mu, label, POST_PC_LABEL[label])
+    normal = np.random.default_rng(rng_seed).standard_normal()
+    h_re, h_im, v_re, v_im = emit_batch(code, t, normal, config)
+    state = JonesVector(complex(h_re, h_im), complex(v_re, v_im))
+    return EmittedPulse(t, state, label_table(config).mu, label, POST_PC_LABEL[label])

@@ -129,17 +129,32 @@ class ApplyResult(NamedTuple):
     survival: float
 
 
+def transform(e: TransferMatrix, h_re, h_im, v_re, v_im):
+    """Unnormalized amplitudes of ``e`` applied to (h, v), as the four real
+    parts (out_h.real, out_h.imag, out_v.real, out_v.imag).
+
+    The inputs may be floats or numpy arrays of any matching shape. The real
+    arithmetic is that of Python's complex product and sum, term for term,
+    so array elements equal the scalar complex result bit for bit.
+    """
+    (a, b), (c, d) = e.m.tolist()
+    return (
+        (a.real * h_re - a.imag * h_im) + (b.real * v_re - b.imag * v_im),
+        (a.real * h_im + a.imag * h_re) + (b.real * v_im + b.imag * v_re),
+        (c.real * h_re - c.imag * h_im) + (d.real * v_re - d.imag * v_im),
+        (c.real * h_im + c.imag * h_re) + (d.real * v_im + d.imag * v_re),
+    )
+
+
 def apply(e: TransferMatrix, v: JonesVector) -> ApplyResult:
     """Propagate ``v`` through ``e``.
 
     Returns the normalized output state and the power survival probability
     |e v|^2. A fully extinguished input comes back as (ABSORBED, 0.0).
     """
-    m = e.m
-    out_h = complex(m[0, 0]) * v.h + complex(m[0, 1]) * v.v
-    out_v = complex(m[1, 0]) * v.h + complex(m[1, 1]) * v.v
-    p = (out_h * out_h.conjugate()).real + (out_v * out_v.conjugate()).real
+    h_re, h_im, v_re, v_im = transform(e, v.h.real, v.h.imag, v.v.real, v.v.imag)
+    p = (h_re * h_re + h_im * h_im) + (v_re * v_re + v_im * v_im)
     if p == 0.0:
         return ApplyResult(ABSORBED, 0.0)
     n = math.sqrt(p)
-    return ApplyResult(JonesVector(out_h / n, out_v / n), p)
+    return ApplyResult(JonesVector(complex(h_re / n, h_im / n), complex(v_re / n, v_im / n)), p)

@@ -22,10 +22,10 @@ import math
 
 import numpy as np
 
-from .encoder import POST_PC_LABEL, DriftProfile, EncoderConfig, _drive_phases
+from .encoder import DriftProfile, EncoderConfig, label_table
 from .errors import ConfigurationError
 from .receiver import BASIS_DA, BASIS_HV, DetectorParams
-from .runner import SEQUENCE_DA, SEQUENCE_HVD, RunConfig
+from .runner import LABEL_ORDER, SEQUENCE_DA, SEQUENCE_HVD, RunConfig
 
 # Solved jitter calibration, radians (see module docstring).
 HVD_BASE_JITTER = 0.2259
@@ -79,16 +79,12 @@ def preset_expected_qber(config: RunConfig, sent_label: str) -> float:
 
     Valid for labels measured in their own basis (the deterministic ones).
     """
-    encoder_label = {post: enc for enc, post in POST_PC_LABEL.items()}[sent_label]
-    _, _, driven, mu = _drive_phases(encoder_label, config.encoder)
-    sigma = config.encoder.phase_jitter_sigma
-    if driven:
-        sigma = math.hypot(sigma, config.encoder.drive_jitter_sigma)
+    table = label_table(config.encoder)
     return expected_qber(
-        mu,
+        table.mu,
         config.detector.efficiency,
         config.detector.dark_count_prob_per_gate,
-        sigma,
+        float(table.sigma[LABEL_ORDER.index(sent_label)]),
         phase_offset=config.encoder.elements.pc_misalignment_eps,
     )
 

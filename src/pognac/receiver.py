@@ -3,7 +3,9 @@ statistics for attenuated coherent pulses.
 
 Two detectors, one per analyzer port, click independently. Each pulse ends
 in exactly one of four outcomes: a single click on either branch, a double
-click, or nothing.
+click, or nothing. ``joint_probabilities`` and ``sample_outcomes`` are the
+array kernel; ``click_probabilities`` and ``simulate_detection`` apply it
+to one pulse.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .elements import make_hwp
 from .encoder import EmittedPulse
 from .errors import ConfigurationError
+from .polarization import transform
 
 BASIS_HV = "HV"
 BASIS_DA = "DA"
@@ -26,19 +29,16 @@ OUTCOME_CLICK_1 = "click_1"
 OUTCOME_DOUBLE = "double"
 OUTCOME_NONE = "none"
 
+# Outcome of each uint8 outcome code.
+OUTCOMES = (OUTCOME_CLICK_0, OUTCOME_CLICK_1, OUTCOME_DOUBLE, OUTCOME_NONE)
+
 POLICY_DISCARD = "discard"
 POLICY_RANDOM = "random"
 
 # Analyzer branches: HWP at 0 (HV) or pi/8 (DA) followed by an ideal PBS.
 # Branch 0 is the transmitted port (H after the plate), branch 1 the
 # reflected port; the effective projection bras are the HWP matrix rows.
-_BRANCH_ROWS = {}
-for _basis, _angle in ((BASIS_HV, 0.0), (BASIS_DA, math.pi / 8.0)):
-    _m = make_hwp(_angle).m
-    _BRANCH_ROWS[_basis] = (
-        (complex(_m[0, 0]), complex(_m[0, 1])),
-        (complex(_m[1, 0]), complex(_m[1, 1])),
-    )
+_ANALYZER = {BASIS_HV: make_hwp(0.0), BASIS_DA: make_hwp(math.pi / 8.0)}
 
 
 @dataclass(frozen=True)
@@ -84,30 +84,39 @@ class DetectionRecord(NamedTuple):
     outcome: str
 
 
-def click_probabilities(state, mu: float, params: DetectorParams) -> ClickProbabilities:
-    """Joint outcome probabilities for one pulse.
+def joint_probabilities(h_re, h_im, v_re, v_im, mu: float, params: DetectorParams):
+    """Exclusive outcome probabilities (click_0, click_1, double, none) of
+    pulses in states (h, v) with mean photon number ``mu``.
 
-    The analyzer projects the state onto the two branch powers q0, q1; each
+    The analyzer projects each state onto the two branch powers q0, q1; each
     detector then fires with marginal 1 - (1 - d) exp(-mu eta q). The four
-    returned outcomes are mutually exclusive and sum to one.
+    outcomes are mutually exclusive and sum to one. Amplitudes may be
+    floats or arrays.
     """
     if mu < 0.0:
         raise ConfigurationError(f"mean photon number must be >= 0, got {mu}")
-    (b00, b01), (b10, b11) = _BRANCH_ROWS[params.basis]
-    a0 = b00 * state.h + b01 * state.v
-    a1 = b10 * state.h + b11 * state.v
-    q0 = (a0 * a0.conjugate()).real
-    q1 = (a1 * a1.conjugate()).real
+    a0_re, a0_im, a1_re, a1_im = transform(_ANALYZER[params.basis], h_re, h_im, v_re, v_im)
+    q0 = a0_re * a0_re + a0_im * a0_im
+    q1 = a1_re * a1_re + a1_im * a1_im
     gain = mu * params.efficiency
     keep = 1.0 - params.dark_count_prob_per_gate
-    p0 = 1.0 - keep * math.exp(-gain * q0)
-    p1 = 1.0 - keep * math.exp(-gain * q1)
-    return ClickProbabilities(
-        p0 * (1.0 - p1),
-        p1 * (1.0 - p0),
-        p0 * p1,
-        (1.0 - p0) * (1.0 - p1),
-    )
+    p0 = 1.0 - keep * np.exp(-gain * q0)
+    p1 = 1.0 - keep * np.exp(-gain * q1)
+    return p0 * (1.0 - p1), p1 * (1.0 - p0), p0 * p1, (1.0 - p0) * (1.0 - p1)
+
+
+def sample_outcomes(probabilities, u):
+    """Outcome codes (index into OUTCOMES) for uniform draws ``u``: the first
+    outcome whose cumulative probability exceeds u, none when no click does."""
+    c0, c1, double, _ = probabilities
+    c01 = c0 + c1
+    return 3 - (u < c0) - (u < c01) - (u < c01 + double)
+
+
+def click_probabilities(state, mu: float, params: DetectorParams) -> ClickProbabilities:
+    """joint_probabilities for one pulse in Jones state ``state``."""
+    p = joint_probabilities(state.h.real, state.h.imag, state.v.real, state.v.imag, mu, params)
+    return ClickProbabilities(*map(float, p))
 
 
 def simulate_detection(
@@ -119,16 +128,8 @@ def simulate_detection(
     """Sample one joint detection outcome; deterministic given ``rng_seed``
     (a seed or a hot Generator)."""
     p = click_probabilities(pulse.state, pulse.mean_photon_number, params)
-    u = np.random.default_rng(rng_seed).random()
-    if u < p.click_0:
-        outcome = OUTCOME_CLICK_0
-    elif u < p.click_0 + p.click_1:
-        outcome = OUTCOME_CLICK_1
-    elif u < p.click_0 + p.click_1 + p.double:
-        outcome = OUTCOME_DOUBLE
-    else:
-        outcome = OUTCOME_NONE
-    return DetectionRecord(pulse_index, pulse.sent_label, params.basis, outcome)
+    code = sample_outcomes(p, np.random.default_rng(rng_seed).random())
+    return DetectionRecord(pulse_index, pulse.sent_label, params.basis, OUTCOMES[code])
 
 
 def records_to_csv(records: Sequence[DetectionRecord]) -> str:

@@ -1,10 +1,17 @@
 """Experiment orchestration: pseudorandom state sequences, windowed QBER
 accounting, and the drift comparison against an inline-modulator baseline.
 
+A run streams through one array kernel in blocks of at most _BLOCK pulses:
+int8 label codes -> emit_batch -> joint_probabilities -> sample_outcomes
+(uint8 outcome codes) -> one np.bincount per block over (window, label,
+outcome). Peak memory is O(block), not O(run).
+
 Randomness is organized so results are bit-identical however the work is
-chunked: the label sequence comes from one seeded generator, and each
-analysis window gets its own emission and detection streams derived from
-(detection_seed, window, role). Counts reduce order-independently.
+chunked: the label sequence comes from one seeded generator, each analysis
+window draws its emission and detection randomness from generators seeded
+(detection_seed, window, 0|1), and the coins that assign double clicks
+under the random policy come from one run-wide generator; every stream is
+consumed in pulse order.
 """
 
 from __future__ import annotations
@@ -16,27 +23,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoder import (
+    LABEL_CODES,
     POST_PC_LABEL,
-    EncoderConfig,
     DriftProfile,
-    EmittedPulse,
-    _drive_phases,
-    _OUTPUT_PC,
-    emit_pulse,
-    inline_encoder_reference,
+    EncoderConfig,
+    emit_batch,
+    label_code,
+    label_table,
     output_pc_mapping,
 )
 from .errors import ConfigurationError
-from .polarization import apply
 from .receiver import (
-    OUTCOME_CLICK_0,
-    OUTCOME_CLICK_1,
-    OUTCOME_DOUBLE,
-    OUTCOME_NONE,
+    OUTCOMES,
     POLICY_DISCARD,
     POLICY_RANDOM,
     DetectorParams,
-    simulate_detection,
+    joint_probabilities,
+    sample_outcomes,
 )
 
 __all__ = [
@@ -59,25 +62,27 @@ __all__ = [
 SEQUENCE_HVD = "hvd-pseudorandom"
 SEQUENCE_DA = "da-alternating"
 
-# Draw order of the uniform {L, R, D} generator (receiver frame H, V, D).
-HVD_DRAW_ORDER = ("L", "R", "D")
+# Deterministic row order of receiver-frame labels in every output; a
+# label's position is its label code.
+LABEL_ORDER = tuple(POST_PC_LABEL[label] for label in LABEL_CODES)
 
-# Deterministic row order of receiver-frame labels in every output.
-LABEL_ORDER = ("H", "V", "D", "A")
+# Nominal analyzer branch of each label code, the same in both bases.
+# Branch 0 is the transmitted port. Labels unbiased to the measured basis
+# keep a fixed conventional branch (H, D -> 0; V, A -> 1) and hover at
+# QBER 0.5.
+CORRECT_BRANCH = np.array([0, 1, 0, 1])
 
-# Nominal analyzer branch per (basis, sent label). Branch 0 is the
-# transmitted port. Labels unbiased to the measured basis keep a fixed
-# conventional branch (H, D -> 0; V, A -> 1) and hover at QBER 0.5.
-CORRECT_BRANCH = {
-    ("HV", "H"): 0,
-    ("HV", "V"): 1,
-    ("HV", "D"): 0,
-    ("HV", "A"): 1,
-    ("DA", "D"): 0,
-    ("DA", "A"): 1,
-    ("DA", "H"): 0,
-    ("DA", "V"): 1,
-}
+_DA_CODES = np.array([label_code("D"), label_code("A")], dtype=np.int8)
+
+# Pulses per kernel call; a block holds a few dozen float64 arrays of this
+# length, whatever the run or window length.
+_BLOCK = 1 << 16
+
+# Slots of one (window, label) tally cell: the outcome codes in OUTCOMES
+# order, then a double click that the random policy's coin assigned to
+# branch 0 or branch 1.
+_CLICK_0, _CLICK_1, _DOUBLE, _NONE, _COIN_0, _COIN_1 = range(6)
+_SLOTS = 6
 
 
 @dataclass(frozen=True)
@@ -98,10 +103,14 @@ class RunConfig:
     detection_seed: int = 2
 
     def __post_init__(self):
-        if self.repetition_rate_hz <= 0.0:
-            raise ConfigurationError(f"repetition rate must be positive, got {self.repetition_rate_hz}")
-        if self.window_s <= 0.0:
-            raise ConfigurationError(f"window must be positive, got {self.window_s}")
+        for name in ("repetition_rate_hz", "window_s", "duration_s"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        if self.sequence_seed < 0 or self.detection_seed < 0:
+            raise ConfigurationError(
+                f"seeds must be >= 0, got {self.sequence_seed} and {self.detection_seed}"
+            )
         if self.duration_s < self.window_s:
             raise ConfigurationError(
                 f"duration {self.duration_s} s must cover at least one window of {self.window_s} s"
@@ -149,6 +158,9 @@ class QberSeries:
     rows: tuple[WindowRow, ...]
     labels: tuple[str, ...]
     window_s: float
+    # Per window: pulses ending in each outcome of OUTCOMES (click_0,
+    # click_1, double, none), whatever their label.
+    outcome_counts: tuple[tuple[int, int, int, int], ...]
 
     def label_stats(self) -> dict[str, LabelStats]:
         out = {}
@@ -187,6 +199,31 @@ class DriftComparisonResult(NamedTuple):
     inline: RunResult
 
 
+def _n_windows(n_pulses: int, repetition_rate_hz: float, window_s: float) -> int:
+    return int(((n_pulses - 1) / repetition_rate_hz) // window_s) + 1 if n_pulses else 0
+
+
+def _windows(index, repetition_rate_hz: float, window_s: float):
+    """Analysis window of each pulse index."""
+    return ((index / repetition_rate_hz) // window_s).astype(np.int64)
+
+
+def _label_blocks(mode: str, n_pulses: int, seed):
+    """The emission sequence as int8 label codes, in blocks of at most
+    _BLOCK pulses (see generate_sequence)."""
+    if n_pulses <= 0:
+        raise ConfigurationError(f"n_pulses must be positive, got {n_pulses}")
+    if mode not in (SEQUENCE_HVD, SEQUENCE_DA):
+        raise ConfigurationError(f"unknown sequence mode {mode!r}")
+    rng = np.random.default_rng(seed) if mode == SEQUENCE_HVD else None
+    for start in range(0, n_pulses, _BLOCK):
+        stop = min(start + _BLOCK, n_pulses)
+        if rng is None:
+            yield _DA_CODES[np.arange(start, stop) % 2]
+        else:
+            yield rng.integers(0, 3, size=stop - start).astype(np.int8)
+
+
 def generate_sequence(mode: str, n_pulses: int, seed) -> list[str]:
     """Reproducible emission sequence in encoder-frame labels.
 
@@ -194,15 +231,53 @@ def generate_sequence(mode: str, n_pulses: int, seed) -> list[str]:
     numpy's default PCG64 generator, index order L, R, D; DA mode alternates
     D, A deterministically.
     """
-    if n_pulses <= 0:
-        raise ConfigurationError(f"n_pulses must be positive, got {n_pulses}")
-    if mode == SEQUENCE_DA:
-        return ["D" if i % 2 == 0 else "A" for i in range(n_pulses)]
-    if mode != SEQUENCE_HVD:
-        raise ConfigurationError(f"unknown sequence mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, 3, size=n_pulses)
-    return [HVD_DRAW_ORDER[i] for i in draws.tolist()]
+    codes = np.concatenate(list(_label_blocks(mode, n_pulses, seed)))
+    return [LABEL_CODES[c] for c in codes.tolist()]
+
+
+class _Tally:
+    """Pulse counts of one pipeline per (window, label code, tally slot),
+    fed in pulse order so the random policy's coins are too."""
+
+    def __init__(self, n_windows: int, double_click_policy: str, assignment_seed):
+        self.cells = np.zeros((n_windows, len(LABEL_CODES), _SLOTS), dtype=np.int64)
+        self.coin = None
+        if double_click_policy == POLICY_RANDOM:
+            self.coin = np.random.default_rng((assignment_seed, 0xD0))
+
+    def add(self, windows, codes, outcomes) -> None:
+        slots = outcomes.astype(np.int64)
+        if self.coin is not None:
+            doubles = np.flatnonzero(outcomes == _DOUBLE)
+            slots[doubles] = _COIN_0 + self.coin.integers(0, 2, size=len(doubles))
+        lo, hi = int(windows[0]), int(windows[-1]) + 1
+        flat = ((windows - lo) * len(LABEL_CODES) + codes) * _SLOTS + slots
+        counts = np.bincount(flat, minlength=(hi - lo) * len(LABEL_CODES) * _SLOTS)
+        self.cells[lo:hi] += counts.reshape(hi - lo, len(LABEL_CODES), _SLOTS)
+
+    def sifted(self):
+        """(n_correct, n_error, n_discarded), each indexed [window, label code]."""
+        c = self.cells
+        branch0 = c[..., _CLICK_0] + c[..., _COIN_0]
+        branch1 = c[..., _CLICK_1] + c[..., _COIN_1]
+        first = CORRECT_BRANCH == 0
+        return np.where(first, branch0, branch1), np.where(first, branch1, branch0), c[..., _DOUBLE]
+
+    def series(self, labels, window_s: float) -> QberSeries:
+        """The windowed series for the label codes ``labels`` (ascending)."""
+        correct, error, discarded = (a.tolist() for a in self.sifted())
+        rows = tuple(
+            WindowRow(w * window_s, LABEL_ORDER[k], correct[w][k], error[w][k], discarded[w][k])
+            for w in range(len(self.cells))
+            for k in labels
+        )
+        c = self.cells.sum(axis=1)
+        outcomes = np.stack(
+            [c[:, _CLICK_0], c[:, _CLICK_1], c[:, _DOUBLE] + c[:, _COIN_0] + c[:, _COIN_1], c[:, _NONE]],
+            axis=1,
+        )
+        labels = tuple(LABEL_ORDER[k] for k in labels)
+        return QberSeries(rows, labels, window_s, tuple(map(tuple, outcomes.tolist())))
 
 
 def sift_and_qber(
@@ -219,7 +294,7 @@ def sift_and_qber(
     as correct, the opposite branch as an error; empty outcomes drop out.
     Double clicks are discarded or coin-assigned per the policy (the coin
     stream is consumed in pulse-index order). Records must align with the
-    sequence by pulse index.
+    sequence by pulse index. The counting is the run kernel's tally.
     """
     if window_s <= 0.0 or repetition_rate_hz <= 0.0:
         raise ConfigurationError("window and repetition rate must be positive")
@@ -227,106 +302,91 @@ def sift_and_qber(
         raise ConfigurationError(f"unknown double-click policy {double_click_policy!r}")
 
     n = len(sequence)
-    n_windows = int(((n - 1) / repetition_rate_hz) // window_s) + 1 if n else 0
-    labels = tuple(l for l in LABEL_ORDER if l in {POST_PC_LABEL[s] for s in sequence})
-
-    counts = {}  # (window, label) -> [correct, error, discarded]
-    coin = np.random.default_rng((assignment_seed, 0xD0)) if double_click_policy == POLICY_RANDOM else None
-
+    codes = np.array([label_code(s) for s in sequence], dtype=np.int8)
+    index, outcomes = [], []
     for rec in sorted(records, key=lambda r: r.pulse_index):
         idx = rec.pulse_index
         if not 0 <= idx < n:
             raise ConfigurationError(f"record pulse_index {idx} outside the sequence of {n} pulses")
-        expected = POST_PC_LABEL[sequence[idx]]
+        expected = LABEL_ORDER[codes[idx]]
         if rec.sent_label != expected:
             raise ConfigurationError(
                 f"record {idx} carries sent_label {rec.sent_label!r} but the sequence says {expected!r}"
             )
-        outcome = rec.outcome
-        if outcome == OUTCOME_NONE:
-            continue
-        w = int((idx / repetition_rate_hz) // window_s)
-        cell = counts.setdefault((w, rec.sent_label), [0, 0, 0])
-        if outcome == OUTCOME_DOUBLE:
-            if coin is None:
-                cell[2] += 1
-                continue
-            branch = int(coin.integers(0, 2))
-        elif outcome == OUTCOME_CLICK_0:
-            branch = 0
-        elif outcome == OUTCOME_CLICK_1:
-            branch = 1
-        else:
-            raise ConfigurationError(f"unknown outcome {outcome!r} in record {idx}")
-        if branch == CORRECT_BRANCH[(rec.basis, rec.sent_label)]:
-            cell[0] += 1
-        else:
-            cell[1] += 1
+        if rec.outcome not in OUTCOMES:
+            raise ConfigurationError(f"unknown outcome {rec.outcome!r} in record {idx}")
+        index.append(idx)
+        outcomes.append(OUTCOMES.index(rec.outcome))
 
-    rows = []
-    for w in range(n_windows):
-        for label in labels:
-            c, e, d = counts.get((w, label), (0, 0, 0))
-            rows.append(WindowRow(w * window_s, label, c, e, d))
-    return QberSeries(tuple(rows), labels, window_s)
+    tally = _Tally(_n_windows(n, repetition_rate_hz, window_s), double_click_policy, assignment_seed)
+    if index:
+        index = np.array(index)
+        windows = _windows(index, repetition_rate_hz, window_s)
+        tally.add(windows, codes[index], np.array(outcomes, dtype=np.uint8))
+    return tally.series(np.unique(codes).tolist(), window_s)
 
 
-def _run_records(config: RunConfig, sequence, emit):
-    """Shared per-slot loop; ``emit(label, t, encoder, rng)`` makes the pulse.
+def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
+    """Stream one run through the kernel for each pipeline in
+    ``inline_flags`` (False: loop encoder, True: inline modulator).
 
-    Window w draws from generators seeded (detection_seed, w, 0|1), so any
-    window-parallel execution reproduces the same records.
+    The pipelines share the label codes and every random draw, exactly as
+    separate runs with the same seeds would draw them. Window w draws from
+    generators seeded (detection_seed, w, 0|1), so any window-parallel
+    execution reproduces the same outcomes.
     """
-    rate = config.repetition_rate_hz
-    window = config.window_s
-    records = []
-    current_window = -1
-    rng_emit = rng_det = None
-    for i, label in enumerate(sequence):
-        t = i / rate
-        w = int(t // window)
-        if w != current_window:
-            rng_emit = np.random.default_rng((config.detection_seed, w, 0))
-            rng_det = np.random.default_rng((config.detection_seed, w, 1))
-            current_window = w
-        pulse = emit(label, t, config.encoder, rng_emit)
-        records.append(simulate_detection(pulse, config.detector, rng_det, i))
-    return records
+    rate, window_s, det = config.repetition_rate_hz, config.window_s, config.detector
+    n = config.n_pulses()
+    n_windows = _n_windows(n, rate, window_s)
+    tallies = [_Tally(n_windows, det.double_click_policy, config.detection_seed) for _ in inline_flags]
+    mu = label_table(config.encoder).mu
+    pulses = np.zeros(n_windows, dtype=np.int64)
+    open_window = -1
+    start = 0
+    for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed):
+        index = np.arange(start, start + len(codes))
+        start += len(codes)
+        t = index / rate
+        windows = _windows(index, rate, window_s)
+        normals = np.empty(len(codes))
+        uniforms = np.empty(len(codes))
+        cuts = [0, *(np.flatnonzero(np.diff(windows)) + 1).tolist(), len(codes)]
+        for a, b in zip(cuts, cuts[1:]):
+            w = int(windows[a])
+            if w != open_window:
+                rng_emit = np.random.default_rng((config.detection_seed, w, 0))
+                rng_det = np.random.default_rng((config.detection_seed, w, 1))
+                open_window = w
+            rng_emit.standard_normal(out=normals[a:b])
+            rng_det.random(out=uniforms[a:b])
+            pulses[w] += b - a
+        for inline, tally in zip(inline_flags, tallies):
+            state = emit_batch(codes, t, normals, config.encoder, inline)
+            outcomes = sample_outcomes(joint_probabilities(*state, mu, det), uniforms).astype(np.uint8)
+            tally.add(windows, codes, outcomes)
 
-
-def _emit_inline(label: str, t: float, enc: EncoderConfig, rng) -> EmittedPulse:
-    """Inline-modulator counterpart of emit_pulse: same drive electronics,
-    same jitter recipe, but the drift adds directly at the emission time."""
-    phi_e, phi_l, driven, mu = _drive_phases(label, enc)
-    sigma = enc.phase_jitter_sigma
-    if driven:
-        sigma = math.hypot(sigma, enc.drive_jitter_sigma)
-    delta = rng.normal(0.0, sigma)
-    phi_applied = (phi_e + delta) - phi_l - (enc.phi0 + enc.elements.pc_misalignment_eps)
-    state = inline_encoder_reference(phi_applied, enc.drift, t)
-    out = apply(_OUTPUT_PC, state).state
-    return EmittedPulse(t, out, mu, label, POST_PC_LABEL[label])
-
-
-def _finish(config: RunConfig, sequence, records) -> RunResult:
-    series = sift_and_qber(
-        records,
-        sequence,
-        config.window_s,
-        config.repetition_rate_hz,
-        config.detector.double_click_policy,
-        config.detection_seed,
-    )
-    return RunResult(series, series.label_stats())
+    # every pulse lands in some slot, so a label was sent iff it has counts
+    labels = np.flatnonzero(tallies[0].cells.sum(axis=(0, 2))).tolist()
+    results = []
+    for tally in tallies:
+        assert np.array_equal(tally.cells.sum(axis=(1, 2)), pulses), "outcomes per window != pulses sent"
+        series = tally.series(labels, window_s)
+        summary = series.label_stats()
+        totals = np.stack(tally.sifted(), axis=-1).sum(axis=0).tolist()
+        assert all(
+            [s.n_correct, s.n_error, s.n_discarded] == totals[LABEL_ORDER.index(label)]
+            for label, s in summary.items()
+        ), "label_stats() != the sum of the rows"
+        results.append(RunResult(series, summary))
+    return results
 
 
 def run_experiment(config: RunConfig) -> RunResult:
-    """Deterministic end-to-end pipeline:
-    sequence -> emit_pulse per slot -> simulate_detection -> sift_and_qber.
+    """Deterministic end-to-end pipeline, streamed in blocks: label codes ->
+    emit_batch -> joint_probabilities -> sample_outcomes -> windowed tally.
     """
-    sequence = generate_sequence(config.sequence_mode, config.n_pulses(), config.sequence_seed)
-    records = _run_records(config, sequence, emit_pulse)
-    return _finish(config, sequence, records)
+    (result,) = _simulate(config, (False,))
+    return result
 
 
 def drift_comparison(config: RunConfig, drift: DriftProfile) -> DriftComparisonResult:
@@ -336,10 +396,4 @@ def drift_comparison(config: RunConfig, drift: DriftProfile) -> DriftComparisonR
     With zero drift the two pipelines produce identical records.
     """
     cfg = replace(config, encoder=replace(config.encoder, drift=drift))
-    sequence = generate_sequence(cfg.sequence_mode, cfg.n_pulses(), cfg.sequence_seed)
-    pognac_records = _run_records(cfg, sequence, emit_pulse)
-    inline_records = _run_records(cfg, sequence, _emit_inline)
-    return DriftComparisonResult(
-        _finish(cfg, sequence, pognac_records),
-        _finish(cfg, sequence, inline_records),
-    )
+    return DriftComparisonResult(*_simulate(cfg, (False, True)))

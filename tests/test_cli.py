@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import pognac
 
 from pognac.cli import (
     CliInvocation,
@@ -112,6 +119,40 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     status = run(CliInvocation(scenario="custom", config_path=str(cfg_path)))
     assert status == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("phase_jitter_sigma_rad = nan", "expected a number"),
+        ("sequence_seed = -1", "sequence_seed must be >= 0"),
+        ("duration_s = inf", "duration_s must be positive and finite"),
+    ],
+)
+def test_run_rejects_unrunnable_values_with_line_number(tmp_path, capsys, line, message):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"window_s = 3.0\n{line}\n")
+    status = run(
+        CliInvocation(scenario="custom", config_path=str(cfg_path), output_path=str(tmp_path / "o.csv"))
+    )
+    assert status == 2
+    assert f"line 2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    status = run(CliInvocation(scenario="fig4", seed_override=-1, output_path=str(tmp_path / "o.csv")))
+    assert status == 2
+    assert "seeds must be >= 0" in capsys.readouterr().err
+
+
+def test_python_m_pognac_help():
+    env = dict(os.environ, PYTHONPATH=str(Path(pognac.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pognac", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0
+    assert "usage: pognac" in proc.stdout
 
 
 def test_run_unwritable_output_exits_3(tmp_path, capsys):

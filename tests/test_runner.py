@@ -1,16 +1,33 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pognac.encoder import DriftProfile, EncoderConfig, emit_pulse
+from pognac import runner
+from pognac.elements import ElementParams
+from pognac.encoder import (
+    LABEL_CODES,
+    POST_PC_LABEL,
+    DriftProfile,
+    EmittedPulse,
+    EncoderConfig,
+    emit_batch,
+    emit_pulse,
+    encode_with_drift,
+    inline_encoder_reference,
+    loop_transit_lead,
+    phases_from_waveform,
+)
 from pognac.errors import ConfigurationError
-from pognac.polarization import fidelity
+from pognac.polarization import apply, fidelity
+from pognac.presets import drift_config
 from pognac.receiver import (
     BASIS_DA,
     DetectionRecord,
     DetectorParams,
     click_probabilities,
+    simulate_detection,
 )
 from pognac.runner import (
     LABEL_ORDER,
@@ -23,6 +40,7 @@ from pognac.runner import (
     run_experiment,
     sift_and_qber,
 )
+from pognac.waveform import pattern_for_state
 
 
 def quiet_config(**kw):
@@ -146,7 +164,6 @@ def test_zero_noise_run_has_zero_qber():
 
 def test_frame_consistency_ideal_config():
     # every emitted label lands exactly on its receiver-frame target
-    from pognac.encoder import POST_PC_LABEL
     from test_encoder import RECEIVER_TARGET
 
     for label in ("D", "L", "R", "A"):
@@ -166,7 +183,6 @@ def test_qber_converges_to_click_probability_ratio():
     # constant frame offset: analytic expectation straight from
     # click_probabilities on the actual emitted states
     offset = 0.25
-    from pognac.elements import ElementParams
 
     config = quiet_config(
         encoder=EncoderConfig(elements=ElementParams(pc_phase_phi0=offset)),
@@ -246,3 +262,149 @@ def test_series_csv_schema():
     first = lines[1].split(",")
     assert first[0] == "0.0"
     assert first[1] in LABEL_ORDER
+
+
+def random_policy_config(**kw):
+    """Many short windows, about five photons per pulse at the analyzer, so
+    double clicks are common and coin-assigned."""
+    defaults = dict(
+        encoder=EncoderConfig(
+            phase_jitter_sigma=0.2259,
+            drive_jitter_sigma=0.0436,
+            elements=ElementParams(attenuator_loss_db=54.0),
+        ),
+        detector=DetectorParams(double_click_policy="random"),
+        repetition_rate_hz=1e5,
+        duration_s=0.3,
+        window_s=0.01,
+        sequence_seed=31,
+        detection_seed=32,
+    )
+    defaults.update(kw)
+    return RunConfig(**defaults)
+
+
+def fast_drift_config():
+    """The drift preset, shortened, with the drift sped up so the inline
+    pipeline sweeps the whole phase circle."""
+    config = replace(drift_config(), duration_s=15.0)
+    return replace(config, encoder=replace(config.encoder, drift=DriftProfile.sinusoidal(math.pi, 10.0)))
+
+
+def pulses_per_window(config):
+    counts = {}
+    for i in range(config.n_pulses()):
+        w = int((i / config.repetition_rate_hz) // config.window_s)
+        counts[w] = counts.get(w, 0) + 1
+    return [counts[w] for w in sorted(counts)]
+
+
+def assert_run_invariants(config, result):
+    series = result.series
+    # per window, the four outcome counts add up to the pulses sent ...
+    assert [sum(counts) for counts in series.outcome_counts] == pulses_per_window(config)
+    # ... and the sifted rows to its clicks
+    for w, (click_0, click_1, double, _) in enumerate(series.outcome_counts):
+        rows = [r for r in series.rows if r.window_start_s == w * config.window_s]
+        assert sum(r.n_correct + r.n_error + r.n_discarded for r in rows) == click_0 + click_1 + double
+    # the run summary is the sum of the rows
+    for label, stats in result.summary.items():
+        rows = [r for r in series.rows if r.sent_label == label]
+        totals = tuple(sum(getattr(r, f) for r in rows) for f in ("n_correct", "n_error", "n_discarded"))
+        assert totals == (stats.n_correct, stats.n_error, stats.n_discarded)
+
+
+def test_outcome_and_summary_invariants():
+    config = random_policy_config()
+    result = run_experiment(config)
+    assert sum(counts[2] for counts in result.series.outcome_counts) > 100  # doubles occur
+    assert all(r.n_discarded == 0 for r in result.series.rows)
+    assert_run_invariants(config, result)
+
+    config = fast_drift_config()
+    paired = drift_comparison(config, config.encoder.drift)
+    assert_run_invariants(config, paired.pognac)
+    assert_run_invariants(config, paired.inline)
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_block_size_does_not_change_results(monkeypatch, block):
+    config = random_policy_config(duration_s=0.05, window_s=0.002)
+    expected = run_experiment(config)
+    monkeypatch.setattr(runner, "_BLOCK", block)
+    assert run_experiment(config) == expected
+
+
+def scalar_emitter(enc, inline):
+    """Per-pulse emission from the scalar building blocks (drive pattern ->
+    phases -> encode_with_drift or inline_encoder_reference -> output
+    controller), the reference for the array kernel."""
+    lead = loop_transit_lead(enc.delta_l_m, enc.fiber_index)
+    phi0 = enc.phi0 + enc.elements.pc_misalignment_eps
+    drive = {}
+    for label in ("D", "L", "R", "A"):
+        w = pattern_for_state(label, enc.pattern_spec(), 0.0, lead, enc.vpi)
+        sigma = enc.phase_jitter_sigma
+        if w.segments:
+            sigma = math.hypot(sigma, enc.drive_jitter_sigma)
+        drive[label] = (*phases_from_waveform(w, 0.0, lead, enc.vpi, enc.optical_fwhm_s), sigma)
+
+    def emit(label, t, rng):
+        phi_e, phi_l, sigma = drive[label]
+        delta = rng.normal(0.0, sigma)
+        if inline:
+            state = inline_encoder_reference((phi_e + delta) - phi_l - phi0, enc.drift, t)
+        else:
+            state = encode_with_drift(phi_e + delta, phi_l, phi0, enc.drift, t, t + lead)
+        out = apply(output_pc_mapping(), state).state
+        return EmittedPulse(t, out, enc.mean_photon_out(), label, POST_PC_LABEL[label])
+
+    return emit
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_emit_batch_matches_scalar_building_blocks_bitwise(inline):
+    enc = fast_drift_config().encoder
+    rng = np.random.default_rng(5)
+    codes = rng.integers(0, 4, size=2000)
+    t = rng.uniform(0.0, 20.0, size=2000)
+    emit = scalar_emitter(enc, inline)
+    ref_rng = np.random.default_rng(6)
+    expected = [emit(LABEL_CODES[c], ti, ref_rng).state for c, ti in zip(codes.tolist(), t.tolist())]
+    h_re, h_im, v_re, v_im = emit_batch(codes, t, np.random.default_rng(6).standard_normal(2000), enc, inline)
+    assert [complex(a, b) for a, b in zip(h_re.tolist(), h_im.tolist())] == [s.h for s in expected]
+    assert [complex(a, b) for a, b in zip(v_re.tolist(), v_im.tolist())] == [s.v for s in expected]
+
+
+def window_reversed_series(config, inline):
+    """Criterion 8's check: emit and detect pulse by pulse, windows in
+    reverse order, each window on its own (detection_seed, w, 0|1) streams."""
+    emit = scalar_emitter(config.encoder, inline)
+    sequence = generate_sequence(config.sequence_mode, config.n_pulses(), config.sequence_seed)
+    rate, window = config.repetition_rate_hz, config.window_s
+    by_window = {}
+    for i in range(len(sequence)):
+        by_window.setdefault(int((i / rate) // window), []).append(i)
+    records = []
+    for w in sorted(by_window, reverse=True):
+        rng_emit = np.random.default_rng((config.detection_seed, w, 0))
+        rng_det = np.random.default_rng((config.detection_seed, w, 1))
+        for i in by_window[w]:
+            pulse = emit(sequence[i], i / rate, rng_emit)
+            records.append(simulate_detection(pulse, config.detector, rng_det, i))
+    return sift_and_qber(
+        records, sequence, window, rate, config.detector.double_click_policy, config.detection_seed
+    )
+
+
+def test_window_reversed_per_pulse_matches_drift_pipelines():
+    config = fast_drift_config()
+    paired = drift_comparison(config, config.encoder.drift)
+    assert window_reversed_series(config, inline=False) == paired.pognac.series
+    assert window_reversed_series(config, inline=True) == paired.inline.series
+    assert paired.inline.series != paired.pognac.series
+
+
+def test_window_reversed_per_pulse_matches_random_policy():
+    config = random_policy_config(duration_s=0.1)
+    assert window_reversed_series(config, inline=False) == run_experiment(config).series

@@ -88,31 +88,25 @@ def _parse_choice(*choices: str):
     return parse
 
 
-def _nonneg(name):
+def _rule(name: str, rule: str, ok):
     def check(v):
-        if v < 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
+        if not ok(v):
+            raise ValueError(f"{name} must be {rule}, got {v}")
         return v
 
     return check
+
+
+def _finite(name):
+    return _rule(name, "finite", math.isfinite)
+
+
+def _nonneg(name):
+    return _rule(name, ">= 0 and finite", lambda v: 0 <= v < math.inf)
 
 
 def _positive(name):
-    def check(v):
-        if v <= 0:
-            raise ValueError(f"{name} must be positive, got {v}")
-        return v
-
-    return check
-
-
-def _positive_finite(name):
-    def check(v):
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v}")
-        return v
-
-    return check
+    return _rule(name, "positive and finite", lambda v: 0 < v < math.inf)
 
 
 def _identity(v):
@@ -120,20 +114,16 @@ def _identity(v):
 
 
 def _unit_interval(name):
-    def check(v):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
-        return v
-
-    return check
+    return _rule(name, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
 # key -> (parser, validator). Every physical quantity carries its unit in
 # the key name. Omitted keys take the documented defaults (see _DEFAULTS).
+# Every float must be finite, except an ideal PBS's infinite extinction.
 _KEY_TABLE = {
     "delta_l_m": (_parse_float, _nonneg("delta_l_m")),
     "fiber_index": (_parse_float, _positive("fiber_index")),
-    "phi0_rad": (_parse_float, _identity),
+    "phi0_rad": (_parse_float, _finite("phi0_rad")),
     "vpi_volts": (_parse_float, _positive("vpi_volts")),
     "optical_fwhm_ns": (_scaled_in(-9), _positive("optical_fwhm_ns")),
     "electrical_pulse_width_ns": (_scaled_in(-9), _positive("electrical_pulse_width_ns")),
@@ -142,26 +132,26 @@ _KEY_TABLE = {
     "a_pulse_direction": (_parse_choice("cw", "ccw"), _identity),
     "phase_jitter_sigma_rad": (_parse_float, _nonneg("phase_jitter_sigma_rad")),
     "drive_jitter_sigma_rad": (_parse_float, _nonneg("drive_jitter_sigma_rad")),
-    "pc_misalignment_eps_rad": (_parse_float, _identity),
-    "pbs_extinction_db": (_parse_float, _nonneg("pbs_extinction_db")),
+    "pc_misalignment_eps_rad": (_parse_float, _finite("pc_misalignment_eps_rad")),
+    "pbs_extinction_db": (_parse_float, _rule("pbs_extinction_db", ">= 0 (inf: an ideal PBS)", lambda v: v >= 0)),
     "bs_insertion_loss_db": (_parse_float, _nonneg("bs_insertion_loss_db")),
     "modulator_insertion_loss_db": (_parse_float, _nonneg("modulator_insertion_loss_db")),
     "attenuator_loss_db": (_parse_float, _nonneg("attenuator_loss_db")),
     "source_mean_photon_number": (_parse_float, _nonneg("source_mean_photon_number")),
     "drift_kind": (_parse_choice(DRIFT_NONE, DRIFT_LINEAR, DRIFT_SINUSOIDAL), _identity),
     "drift_amplitude_rad": (_parse_float, _nonneg("drift_amplitude_rad")),
-    "drift_rate_rad_per_s": (_parse_float, _identity),
+    "drift_rate_rad_per_s": (_parse_float, _finite("drift_rate_rad_per_s")),
     "drift_period_s": (_parse_float, _nonneg("drift_period_s")),
     "detector_efficiency": (_parse_float, _unit_interval("detector_efficiency")),
     "dark_count_prob": (_parse_float, _unit_interval("dark_count_prob")),
     "measure_basis": (_parse_choice("HV", "DA"), _identity),
     "double_click_policy": (_parse_choice("discard", "random"), _identity),
-    "repetition_rate_hz": (_parse_float, _positive_finite("repetition_rate_hz")),
-    "duration_s": (_parse_float, _positive_finite("duration_s")),
-    "window_s": (_parse_float, _positive_finite("window_s")),
+    "repetition_rate_hz": (_parse_float, _positive("repetition_rate_hz")),
+    "duration_s": (_parse_float, _positive("duration_s")),
+    "window_s": (_parse_float, _positive("window_s")),
     "sequence_mode": (_parse_choice("hvd-pseudorandom", "da-alternating"), _identity),
-    "sequence_seed": (_parse_int, _nonneg("sequence_seed")),
-    "detection_seed": (_parse_int, _nonneg("detection_seed")),
+    "sequence_seed": (_parse_int, _rule("sequence_seed", ">= 0", lambda v: v >= 0)),
+    "detection_seed": (_parse_int, _rule("detection_seed", ">= 0", lambda v: v >= 0)),
 }
 
 _DEFAULT_CONFIG = RunConfig()

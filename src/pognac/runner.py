@@ -8,16 +8,19 @@ outcome). Peak memory is O(block), not O(run).
 
 Randomness is organized so results are bit-identical however the work is
 chunked: the label sequence comes from one seeded generator, each analysis
-window draws its emission and detection randomness from generators seeded
-(detection_seed, window, 0|1), and the coins that assign double clicks
-under the random policy come from one run-wide generator; every stream is
-consumed in pulse order.
+window draws its emission and detection randomness from streams seeded
+identically to np.random.default_rng((detection_seed, window, 0|1)), and
+the coins that assign double clicks under the random policy come from one
+run-wide generator; every stream is consumed in pulse order. The window
+streams' PCG64 states are computed for a batch of windows at once
+(_window_streams) and loaded into one reused generator per role.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +78,21 @@ CORRECT_BRANCH = np.array([0, 1, 0, 1])
 _DA_CODES = np.array([label_code("D"), label_code("A")], dtype=np.int8)
 
 # Pulses per kernel call; a block holds a few dozen float64 arrays of this
-# length, whatever the run or window length.
-_BLOCK = 1 << 16
+# length, whatever the run or window length. Each is 64 KiB, under glibc's
+# 128 KiB mmap threshold, so the kernel's temporaries are reused from the
+# heap; 512 KiB arrays were mapped or trimmed away between blocks and paged
+# in afresh, about 3000 page faults per block of the drift preset.
+_BLOCK = 1 << 13
+
+# Caps on one run, checked by RunConfig before anything is allocated: the
+# tally holds 24 int64 per window and pipeline, and the kernel runs at a
+# few million pulses per second. _MAX_WINDOWS < 2**32 also keeps every
+# window index a single uint32 word of seed entropy (see _window_streams).
+_MAX_WINDOWS = 1 << 20
+_MAX_PULSES = 1 << 40
+
+# Windows whose stream seeds are computed in one array pass.
+_SEED_BATCH = 1 << 10
 
 # Slots of one (window, label) tally cell: the outcome codes in OUTCOMES
 # order, then a double click that the random policy's coin assigned to
@@ -114,6 +130,17 @@ class RunConfig:
         if self.duration_s < self.window_s:
             raise ConfigurationError(
                 f"duration {self.duration_s} s must cover at least one window of {self.window_s} s"
+            )
+        pulses = self.duration_s * self.repetition_rate_hz
+        if pulses > _MAX_PULSES:
+            raise ConfigurationError(
+                f"duration_s x repetition_rate_hz asks for {pulses:g} pulses, more than the cap of {_MAX_PULSES}"
+            )
+        # the last window's index as a float, which overflows to inf, not int()
+        last = ((self.n_pulses() - 1) / self.repetition_rate_hz) // self.window_s
+        if last >= _MAX_WINDOWS:
+            raise ConfigurationError(
+                f"duration_s / window_s asks for {last + 1:g} windows, more than the cap of {_MAX_WINDOWS}"
             )
         if self.sequence_mode not in (SEQUENCE_HVD, SEQUENCE_DA):
             raise ConfigurationError(f"unknown sequence mode {self.sequence_mode!r}")
@@ -235,6 +262,71 @@ def generate_sequence(mode: str, n_pulses: int, seed) -> list[str]:
     return [LABEL_CODES[c] for c in codes.tolist()]
 
 
+# PCG64's 128-bit LCG multiplier.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running uint32 hash; the constant steps the same way
+    whatever the data, so one scalar serves a whole column of seeds."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return r ^ (r >> 16)
+
+
+def _window_streams(seed: int, n_windows: int):
+    """Yield, for w = 0, 1, ..., n_windows - 1, the PCG64 states of
+    np.random.default_rng((seed, w, 0)) and default_rng((seed, w, 1)).
+
+    numpy's SeedSequence (entropy mixed into a pool of four uint32 words,
+    then generate_state(4, uint64)) and PCG64's set-seed, computed on uint32
+    arrays for _SEED_BATCH windows and both roles at once. Each window
+    index is a single entropy word because w < _MAX_WINDOWS < 2**32.
+    """
+    seed = int(seed)
+    seed_words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    for lo in range(0, n_windows, _SEED_BATCH):
+        windows = np.arange(lo, min(lo + _SEED_BATCH, n_windows), dtype=np.uint32)
+        shape = (len(windows), 2)
+        entropy = [np.full(shape, x, np.uint32) for x in seed_words]
+        entropy += [np.broadcast_to(windows[:, None], shape), np.broadcast_to(np.uint32([0, 1]), shape)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(shape, np.uint32)) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+        out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+        # little-endian uint32 pairs -> the uint64 words (state hi, lo, seq hi, lo)
+        words = [(out[i] | out[i + 1] << np.uint64(32)).ravel().tolist() for i in range(0, 8, 2)]
+        states = (_pcg64_state(s_hi << 64 | s_lo, q_hi << 64 | q_lo) for s_hi, s_lo, q_hi, q_lo in zip(*words))
+        yield from zip(states, states)
+
+
+def _pcg64_state(initstate: int, initseq: int) -> dict:
+    """PCG64's state after seeding with (initstate, initseq)."""
+    inc = (initseq << 1 | 1) & _MASK128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
 class _Tally:
     """Pulse counts of one pipeline per (window, label code, tally slot),
     fed in pulse order so the random policy's coins are too."""
@@ -332,7 +424,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
 
     The pipelines share the label codes and every random draw, exactly as
     separate runs with the same seeds would draw them. Window w draws from
-    generators seeded (detection_seed, w, 0|1), so any window-parallel
+    its own (detection_seed, w, 0|1) streams, so any window-parallel
     execution reproduces the same outcomes.
     """
     rate, window_s, det = config.repetition_rate_hz, config.window_s, config.detector
@@ -341,6 +433,9 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     tallies = [_Tally(n_windows, det.double_click_policy, config.detection_seed) for _ in inline_flags]
     mu = label_table(config.encoder).mu
     pulses = np.zeros(n_windows, dtype=np.int64)
+    streams = _window_streams(config.detection_seed, n_windows)
+    bitgens = (np.random.PCG64(), np.random.PCG64())  # each window loads its own states
+    rng_emit, rng_det = (np.random.Generator(b) for b in bitgens)
     open_window = -1
     start = 0
     for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed):
@@ -353,9 +448,11 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
         cuts = [0, *(np.flatnonzero(np.diff(windows)) + 1).tolist(), len(codes)]
         for a, b in zip(cuts, cuts[1:]):
             w = int(windows[a])
+            # a window continued from the previous block keeps its streams'
+            # state; windows without pulses skip theirs
             if w != open_window:
-                rng_emit = np.random.default_rng((config.detection_seed, w, 0))
-                rng_det = np.random.default_rng((config.detection_seed, w, 1))
+                for bitgen, state in zip(bitgens, next(islice(streams, w - open_window - 1, None))):
+                    bitgen.state = state
                 open_window = w
             rng_emit.standard_normal(out=normals[a:b])
             rng_det.random(out=uniforms[a:b])

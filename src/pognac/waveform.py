@@ -88,6 +88,8 @@ def quantize_delay(requested: float, granularity: float) -> float:
     if granularity <= 0.0:
         raise ConfigurationError(f"granularity must be positive, got {granularity}")
     steps = abs(requested) / granularity
+    if not math.isfinite(steps):
+        raise ConfigurationError(f"delay {requested} s is not a finite number of {granularity} s steps")
     k = math.floor(steps)
     if steps - k > 0.5:
         k += 1

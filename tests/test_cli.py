@@ -1,16 +1,23 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pognac
 
 from pognac.cli import (
+    _KEY_TABLE,
     CliInvocation,
     build_parser,
     format_config,
+    main,
     parse_config,
     run,
 )
@@ -127,6 +134,10 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
         ("phase_jitter_sigma_rad = nan", "expected a number"),
         ("sequence_seed = -1", "sequence_seed must be >= 0"),
         ("duration_s = inf", "duration_s must be positive and finite"),
+        ("delta_l_m = inf", "delta_l_m must be >= 0 and finite"),
+        ("vpi_volts = inf", "vpi_volts must be positive and finite"),
+        ("drift_rate_rad_per_s = inf", "drift_rate_rad_per_s must be finite"),
+        ("phi0_rad = -inf", "phi0_rad must be finite"),
     ],
 )
 def test_run_rejects_unrunnable_values_with_line_number(tmp_path, capsys, line, message):
@@ -138,6 +149,91 @@ def test_run_rejects_unrunnable_values_with_line_number(tmp_path, capsys, line, 
     assert status == 2
     assert f"line 2: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_ideal_pbs_extinction_may_be_infinite():
+    assert parse_config("pbs_extinction_db = inf\n").encoder.elements.pbs_extinction_db == float("inf")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("window_s = 1e-12\nrepetition_rate_hz = 1e5\n", "more than the cap of 1048576"),
+        ("repetition_rate_hz = 1e300\n", "more than the cap of 1099511627776"),
+        ("duration_s = 1e300\nrepetition_rate_hz = 1e300\n", "inf pulses"),
+        ("duration_s = 1e300\nwindow_s = 1e-300\nrepetition_rate_hz = 1e-290\n", "inf windows"),
+    ],
+)
+def test_run_rejects_runs_above_the_caps(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "big.cfg"
+    cfg_path.write_text(text)
+    status = run(
+        CliInvocation(scenario="custom", config_path=str(cfg_path), output_path=str(tmp_path / "o.csv"))
+    )
+    assert status == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+# Run-size values: each run is at most a few hundred pulses and windows, or
+# is over a cap, whatever the combination.
+_RUN_SIZE_VALUES = {
+    "repetition_rate_hz": ["1e4", "0.5", "1e300", "1e-300"],
+    "duration_s": ["0.02", "5e-3", "1e300", "1e-300"],
+    "window_s": ["1e-3", "0.02", "1e-300", "1e300"],
+}
+_CHOICES = {
+    "encoding_mode": ["two-level", "four-level"],
+    "a_pulse_direction": ["cw", "ccw"],
+    "drift_kind": ["none", "linear", "sinusoidal"],
+    "measure_basis": ["HV", "DA"],
+    "double_click_policy": ["discard", "random"],
+    "sequence_mode": ["hvd-pseudorandom", "da-alternating"],
+}
+_EXTREMES = ["0", "1", "-1", "5e-324", "1e-308", "1e308", "-1e308", "1.7976931348623157e308"]
+
+
+def _value(key):
+    if key in _RUN_SIZE_VALUES:
+        return st.sampled_from(_RUN_SIZE_VALUES[key])
+    if key in _CHOICES:
+        return st.sampled_from(_CHOICES[key])
+    if key.endswith("_seed"):
+        return st.integers(-1, 2**70).map(str)
+    return st.one_of(
+        st.sampled_from(_EXTREMES),
+        st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    )
+
+
+_keys = st.sampled_from(sorted(_KEY_TABLE))
+# Finite values, most of them in range, so runs reach the physics ...
+_finite_lines = _keys.flatmap(lambda k: _value(k).map(lambda v: f"{k} = {v}"))
+# ... and at most one line that must be rejected or ignored.
+_odd_lines = st.one_of(
+    st.tuples(_keys, st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "0x1.8p1", "abc", ""])).map(
+        " = ".join
+    ),
+    st.sampled_from(["no equals sign", "turbo = on", "= 3", "# comment", ""]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_finite_lines, max_size=5), st.lists(_odd_lines, max_size=1), st.randoms())
+def test_fuzzed_config_exits_0_2_or_3_without_traceback(lines, odd, random):
+    lines = lines + odd
+    random.shuffle(lines)
+    base = "repetition_rate_hz = 1e4\nduration_s = 0.02\nwindow_s = 1e-3\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "fuzz.cfg"
+        cfg_path.write_text(base + "\n".join(lines) + "\n")
+        stderr = io.StringIO()
+        argv = ["--scenario", "custom", "--config", str(cfg_path), "--out", str(Path(tmp) / "o.csv")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+    assert exit_info.value.code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_negative_seed_override_exits_2(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Byte pins for the CLI: sha256 of every CSV file and of the stdout summary
-for shortened preset runs and a random-policy custom run.
+for shortened preset runs and random-policy custom runs.
 
 The pins were recorded with the per-pulse object pipeline that the
-window-streamed kernel replaced. A run is a pure function of (config,
-seeds), so however the work is chunked or vectorised these bytes must not
+window-streamed kernel replaced, except the multi-word seed pin, recorded
+with that kernel while it still built each window's generators with
+np.random.default_rng. A run is a pure function of (config, seeds), so
+however the work is chunked, vectorised or seeded these bytes must not
 move; a change that moves one changes results.
 """
 
@@ -31,12 +33,15 @@ sequence_seed = 17
 detection_seed = 18
 """
 
-# case -> (scenario, shortened preset duration in s or None for custom)
+# case -> (scenario, shortened preset duration in s or None for custom,
+# --seed override or None)
 CASES = {
-    "fig2": ("fig2", 9.0),
-    "fig4": ("fig4", 9.0),
-    "drift": ("drift", 30.0),
-    "random_policy": ("custom", None),
+    "fig2": ("fig2", 9.0, None),
+    "fig4": ("fig4", 9.0, None),
+    "drift": ("drift", 30.0, None),
+    "random_policy": ("custom", None, None),
+    # 2**32 + 5: a detection seed of two uint32 words of entropy
+    "multi_word_seed": ("custom", None, 2**32 + 5),
 }
 
 PINS = {
@@ -53,6 +58,10 @@ PINS = {
         "out.csv": "d7ed9bb6d678a50a22ababf58b02ab920b51d6902584fc1e13f34f25db84c86b",
         "stdout": "9199d10ccf77840d21fab66d46ca6d8ae6441378f4a995a5cc5e26d179d2b36e",
     },
+    "multi_word_seed": {
+        "out.csv": "edb15ac10e4721c60d60ab3171a594001685b1f44e601934219e2bbd10ce31f1",
+        "stdout": "c2a25fdbe31e4d239c34714f51b423360ebf64d63153f042257a757d30706eea",
+    },
     "random_policy": {
         "out.csv": "c2f09fdd5a18fbf9be54e6cff70fd5419b28f54cc4590e3fabfa2f48b13de6b8",
         "stdout": "c83ab21007feaf6243219d7247526dbecc1add145204b77d22eaf4b2da973a21",
@@ -63,7 +72,7 @@ PINS = {
 def run_case(case: str, workdir: Path) -> dict[str, str]:
     """Run one case through cli.run in ``workdir``; sha256 of each written
     file and of stdout, by name."""
-    scenario, duration = CASES[case]
+    scenario, duration, seed = CASES[case]
     config_path = None
     if duration is None:
         config_path = workdir / "run.cfg"
@@ -75,6 +84,7 @@ def run_case(case: str, workdir: Path) -> dict[str, str]:
             cli.CliInvocation(
                 scenario=scenario,
                 config_path=None if config_path is None else str(config_path),
+                seed_override=seed,
                 output_path=str(workdir / "out.csv"),
             )
         )

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -407,4 +408,21 @@ def test_window_reversed_per_pulse_matches_drift_pipelines():
 
 def test_window_reversed_per_pulse_matches_random_policy():
     config = random_policy_config(duration_s=0.1)
+    assert window_reversed_series(config, inline=False) == run_experiment(config).series
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+def test_window_streams_equal_default_rng(seed):
+    # windows from 40 below a _BLOCK boundary (a multiple of _SEED_BATCH) to the last
+    first = runner._BLOCK - 40
+    streams = list(islice(runner._window_streams(seed, runner._BLOCK + 40), first, None))
+    assert len(streams) == 80
+    for w, pair in enumerate(streams, start=first):
+        for k in (0, 1):
+            assert pair[k] == np.random.default_rng((seed, w, k)).bit_generator.state
+
+
+def test_windows_without_pulses_skip_their_streams():
+    # a pulse every 1 ms, windows of 0.3 ms: most windows hold no pulse
+    config = random_policy_config(repetition_rate_hz=1e3, duration_s=0.05, window_s=3e-4)
     assert window_reversed_series(config, inline=False) == run_experiment(config).series

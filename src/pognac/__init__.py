@@ -4,10 +4,7 @@ encoder and the three-state BB84 link built around it."""
 from .elements import (
     ElementParams,
     db_to_power,
-    make_attenuator,
     make_hwp,
-    make_pbs,
-    make_polarization_controller,
     phase_from_voltage,
 )
 from .encoder import (
@@ -26,20 +23,16 @@ from .errors import ConfigFileError, ConfigurationError
 from .polarization import (
     ABSORBED,
     JonesVector,
-    StokesVector,
     TransferMatrix,
     apply,
     fidelity,
-    jones_from_stokes,
     normalize,
-    to_stokes,
 )
 from .presets import PRESETS, expected_qber, preset_config, preset_expected_qber
 from .receiver import (
     DetectionRecord,
     DetectorParams,
     click_probabilities,
-    records_to_csv,
     simulate_detection,
 )
 from .runner import (
@@ -60,7 +53,6 @@ from .waveform import (
     Waveform,
     pattern_for_state,
     quantize_delay,
-    voltage_at,
 )
 
 __version__ = "0.1.0"

@@ -11,28 +11,26 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from decimal import Decimal, InvalidOperation
+from functools import reduce
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .elements import ElementParams
-from .encoder import (
-    DRIFT_LINEAR,
-    DRIFT_NONE,
-    DRIFT_SINUSOIDAL,
-    DriftProfile,
-    EncoderConfig,
-)
+from .encoder import DRIFT_LINEAR, DRIFT_NONE, DRIFT_SINUSOIDAL
 from .errors import ConfigFileError, ConfigurationError
 from .presets import PRESETS, preset_config
-from .receiver import DetectorParams
+from .receiver import BASIS_DA, BASIS_HV, POLICY_DISCARD, POLICY_RANDOM
 from .runner import (
+    SEQUENCE_DA,
+    SEQUENCE_HVD,
     DriftComparisonResult,
     RunConfig,
     RunResult,
     drift_comparison,
     run_experiment,
 )
+from .waveform import MODE_FOUR_LEVEL, MODE_TWO_LEVEL
 
 _GENERATOR_NOTES = {
     "hvd-pseudorandom": "numpy default_rng (PCG64); uniform integers 0..2 mapped to L,R,D",
@@ -40,32 +38,22 @@ _GENERATOR_NOTES = {
 }
 
 
-def _not_nan(value: float, text: str) -> float:
+def _parse_number(text: str, convert=float) -> float:
+    try:
+        value = convert(text)
+    except (InvalidOperation, ValueError):
+        value = math.nan
     if math.isnan(value):
         raise ValueError(f"expected a number, got {text!r}")
     return value
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return _not_nan(float(text), text)
-    except ValueError:
-        raise ValueError(f"expected a number, got {text!r}") from None
-
-
-def _scaled_in(exponent: int):
+def _parse_scaled(text: str, exponent: int) -> float:
     """Parse a value given in a 10^exponent unit into the base unit.
 
     The decimal shift is exact, so parse/format round-trip bit for bit.
     """
-
-    def parse(text: str) -> float:
-        try:
-            return _not_nan(float(Decimal(text).scaleb(exponent)), text)
-        except (InvalidOperation, ValueError):
-            raise ValueError(f"expected a number, got {text!r}") from None
-
-    return parse
+    return _parse_number(text, lambda t: float(Decimal(t).scaleb(exponent)))
 
 
 def _scaled_out(value: float, exponent: int) -> str:
@@ -79,117 +67,77 @@ def _parse_int(text: str) -> int:
         raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_choice(*choices: str):
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"expected one of {choices}, got {text!r}")
-        return text
-
-    return parse
+_PARSERS = {float: _parse_number, int: _parse_int, str: str}
 
 
-def _rule(name: str, rule: str, ok):
-    def check(v):
-        if not ok(v):
-            raise ValueError(f"{name} must be {rule}, got {v}")
-        return v
-
-    return check
+class _Rule(NamedTuple):
+    text: str
+    ok: Callable
 
 
-def _finite(name):
-    return _rule(name, "finite", math.isfinite)
+def _one_of(*choices: str) -> _Rule:
+    return _Rule(f"one of {choices}", lambda v: v in choices)
 
 
-def _nonneg(name):
-    return _rule(name, ">= 0 and finite", lambda v: 0 <= v < math.inf)
+_FINITE = _Rule("finite", math.isfinite)
+_NONNEG = _Rule(">= 0 and finite", lambda v: 0 <= v < math.inf)
+_POSITIVE = _Rule("positive and finite", lambda v: 0 < v < math.inf)
+_UNIT_INTERVAL = _Rule("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_SEED = _Rule(">= 0", lambda v: v >= 0)
 
 
-def _positive(name):
-    return _rule(name, "positive and finite", lambda v: 0 < v < math.inf)
+class _Key(NamedTuple):
+    """One config key: the dotted path of its RunConfig field, the rule its
+    value must meet, and the power of ten of its unit when that is not the
+    field's base unit. The field's default value picks the parser."""
+
+    path: str
+    rule: _Rule
+    exponent: int | None = None
 
 
-def _identity(v):
-    return v
-
-
-def _unit_interval(name):
-    return _rule(name, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-
-
-# key -> (parser, validator). Every physical quantity carries its unit in
-# the key name. Omitted keys take the documented defaults (see _DEFAULTS).
+# Every physical quantity carries its unit in the key name; rows are in
+# provenance-header order. Omitted keys take the RunConfig() defaults.
 # Every float must be finite, except an ideal PBS's infinite extinction.
 _KEY_TABLE = {
-    "delta_l_m": (_parse_float, _nonneg("delta_l_m")),
-    "fiber_index": (_parse_float, _positive("fiber_index")),
-    "phi0_rad": (_parse_float, _finite("phi0_rad")),
-    "vpi_volts": (_parse_float, _positive("vpi_volts")),
-    "optical_fwhm_ns": (_scaled_in(-9), _positive("optical_fwhm_ns")),
-    "electrical_pulse_width_ns": (_scaled_in(-9), _positive("electrical_pulse_width_ns")),
-    "delay_granularity_ps": (_scaled_in(-12), _positive("delay_granularity_ps")),
-    "encoding_mode": (_parse_choice("two-level", "four-level"), _identity),
-    "a_pulse_direction": (_parse_choice("cw", "ccw"), _identity),
-    "phase_jitter_sigma_rad": (_parse_float, _nonneg("phase_jitter_sigma_rad")),
-    "drive_jitter_sigma_rad": (_parse_float, _nonneg("drive_jitter_sigma_rad")),
-    "pc_misalignment_eps_rad": (_parse_float, _finite("pc_misalignment_eps_rad")),
-    "pbs_extinction_db": (_parse_float, _rule("pbs_extinction_db", ">= 0 (inf: an ideal PBS)", lambda v: v >= 0)),
-    "bs_insertion_loss_db": (_parse_float, _nonneg("bs_insertion_loss_db")),
-    "modulator_insertion_loss_db": (_parse_float, _nonneg("modulator_insertion_loss_db")),
-    "attenuator_loss_db": (_parse_float, _nonneg("attenuator_loss_db")),
-    "source_mean_photon_number": (_parse_float, _nonneg("source_mean_photon_number")),
-    "drift_kind": (_parse_choice(DRIFT_NONE, DRIFT_LINEAR, DRIFT_SINUSOIDAL), _identity),
-    "drift_amplitude_rad": (_parse_float, _nonneg("drift_amplitude_rad")),
-    "drift_rate_rad_per_s": (_parse_float, _finite("drift_rate_rad_per_s")),
-    "drift_period_s": (_parse_float, _nonneg("drift_period_s")),
-    "detector_efficiency": (_parse_float, _unit_interval("detector_efficiency")),
-    "dark_count_prob": (_parse_float, _unit_interval("dark_count_prob")),
-    "measure_basis": (_parse_choice("HV", "DA"), _identity),
-    "double_click_policy": (_parse_choice("discard", "random"), _identity),
-    "repetition_rate_hz": (_parse_float, _positive("repetition_rate_hz")),
-    "duration_s": (_parse_float, _positive("duration_s")),
-    "window_s": (_parse_float, _positive("window_s")),
-    "sequence_mode": (_parse_choice("hvd-pseudorandom", "da-alternating"), _identity),
-    "sequence_seed": (_parse_int, _rule("sequence_seed", ">= 0", lambda v: v >= 0)),
-    "detection_seed": (_parse_int, _rule("detection_seed", ">= 0", lambda v: v >= 0)),
+    "delta_l_m": _Key("encoder.delta_l_m", _NONNEG),
+    "fiber_index": _Key("encoder.fiber_index", _POSITIVE),
+    "phi0_rad": _Key("encoder.elements.pc_phase_phi0", _FINITE),
+    "vpi_volts": _Key("encoder.elements.modulator_vpi", _POSITIVE),
+    "optical_fwhm_ns": _Key("encoder.optical_fwhm_s", _POSITIVE, -9),
+    "electrical_pulse_width_ns": _Key("encoder.electrical_pulse_width_s", _POSITIVE, -9),
+    "delay_granularity_ps": _Key("encoder.delay_granularity_s", _POSITIVE, -12),
+    "encoding_mode": _Key("encoder.encoding_mode", _one_of(MODE_TWO_LEVEL, MODE_FOUR_LEVEL)),
+    "a_pulse_direction": _Key("encoder.a_pulse_direction", _one_of("cw", "ccw")),
+    "phase_jitter_sigma_rad": _Key("encoder.phase_jitter_sigma", _NONNEG),
+    "drive_jitter_sigma_rad": _Key("encoder.drive_jitter_sigma", _NONNEG),
+    "pc_misalignment_eps_rad": _Key("encoder.elements.pc_misalignment_eps", _FINITE),
+    "pbs_extinction_db": _Key(
+        "encoder.elements.pbs_extinction_db", _Rule(">= 0 (inf: an ideal PBS)", lambda v: v >= 0)
+    ),
+    "bs_insertion_loss_db": _Key("encoder.elements.bs_insertion_loss_db", _NONNEG),
+    "modulator_insertion_loss_db": _Key("encoder.elements.modulator_insertion_loss_db", _NONNEG),
+    "attenuator_loss_db": _Key("encoder.elements.attenuator_loss_db", _NONNEG),
+    "source_mean_photon_number": _Key("encoder.source_mean_photon_number", _NONNEG),
+    "drift_kind": _Key("encoder.drift.kind", _one_of(DRIFT_NONE, DRIFT_LINEAR, DRIFT_SINUSOIDAL)),
+    "drift_amplitude_rad": _Key("encoder.drift.amplitude_rad", _FINITE),
+    "drift_rate_rad_per_s": _Key("encoder.drift.rate_rad_per_s", _FINITE),
+    "drift_period_s": _Key("encoder.drift.period_s", _NONNEG),
+    "detector_efficiency": _Key("detector.efficiency", _UNIT_INTERVAL),
+    "dark_count_prob": _Key("detector.dark_count_prob_per_gate", _UNIT_INTERVAL),
+    "measure_basis": _Key("detector.basis", _one_of(BASIS_HV, BASIS_DA)),
+    "double_click_policy": _Key("detector.double_click_policy", _one_of(POLICY_DISCARD, POLICY_RANDOM)),
+    "repetition_rate_hz": _Key("repetition_rate_hz", _POSITIVE),
+    "duration_s": _Key("duration_s", _POSITIVE),
+    "window_s": _Key("window_s", _POSITIVE),
+    "sequence_mode": _Key("sequence_mode", _one_of(SEQUENCE_HVD, SEQUENCE_DA)),
+    "sequence_seed": _Key("sequence_seed", _SEED),
+    "detection_seed": _Key("detection_seed", _SEED),
 }
 
-_DEFAULT_CONFIG = RunConfig()
 
-_DEFAULTS = {
-    "delta_l_m": _DEFAULT_CONFIG.encoder.delta_l_m,
-    "fiber_index": _DEFAULT_CONFIG.encoder.fiber_index,
-    "phi0_rad": _DEFAULT_CONFIG.encoder.phi0,
-    "vpi_volts": _DEFAULT_CONFIG.encoder.vpi,
-    # scaled keys hold the base-unit (seconds) value once parsed
-    "optical_fwhm_ns": _DEFAULT_CONFIG.encoder.optical_fwhm_s,
-    "electrical_pulse_width_ns": _DEFAULT_CONFIG.encoder.electrical_pulse_width_s,
-    "delay_granularity_ps": _DEFAULT_CONFIG.encoder.delay_granularity_s,
-    "encoding_mode": _DEFAULT_CONFIG.encoder.encoding_mode,
-    "a_pulse_direction": _DEFAULT_CONFIG.encoder.a_pulse_direction,
-    "phase_jitter_sigma_rad": _DEFAULT_CONFIG.encoder.phase_jitter_sigma,
-    "drive_jitter_sigma_rad": _DEFAULT_CONFIG.encoder.drive_jitter_sigma,
-    "pc_misalignment_eps_rad": _DEFAULT_CONFIG.encoder.elements.pc_misalignment_eps,
-    "pbs_extinction_db": _DEFAULT_CONFIG.encoder.elements.pbs_extinction_db,
-    "bs_insertion_loss_db": _DEFAULT_CONFIG.encoder.elements.bs_insertion_loss_db,
-    "modulator_insertion_loss_db": _DEFAULT_CONFIG.encoder.elements.modulator_insertion_loss_db,
-    "attenuator_loss_db": _DEFAULT_CONFIG.encoder.elements.attenuator_loss_db,
-    "source_mean_photon_number": _DEFAULT_CONFIG.encoder.source_mean_photon_number,
-    "drift_kind": _DEFAULT_CONFIG.encoder.drift.kind,
-    "drift_amplitude_rad": _DEFAULT_CONFIG.encoder.drift.amplitude_rad,
-    "drift_rate_rad_per_s": _DEFAULT_CONFIG.encoder.drift.rate_rad_per_s,
-    "drift_period_s": _DEFAULT_CONFIG.encoder.drift.period_s,
-    "detector_efficiency": _DEFAULT_CONFIG.detector.efficiency,
-    "dark_count_prob": _DEFAULT_CONFIG.detector.dark_count_prob_per_gate,
-    "measure_basis": _DEFAULT_CONFIG.detector.basis,
-    "double_click_policy": _DEFAULT_CONFIG.detector.double_click_policy,
-    "repetition_rate_hz": _DEFAULT_CONFIG.repetition_rate_hz,
-    "duration_s": _DEFAULT_CONFIG.duration_s,
-    "window_s": _DEFAULT_CONFIG.window_s,
-    "sequence_mode": _DEFAULT_CONFIG.sequence_mode,
-    "sequence_seed": _DEFAULT_CONFIG.sequence_seed,
-    "detection_seed": _DEFAULT_CONFIG.detection_seed,
-}
+def _field(config, path: str):
+    return reduce(getattr, path.split("."), config)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -199,7 +147,8 @@ def parse_config(text: str) -> RunConfig:
     lines, and out-of-range values are rejected with their line number. An
     empty document yields the full default configuration.
     """
-    values = dict(_DEFAULTS)
+    default = RunConfig()
+    values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -211,100 +160,43 @@ def parse_config(text: str) -> RunConfig:
         value_text = value_text.strip()
         if key not in _KEY_TABLE:
             raise ConfigFileError(f"unknown key {key!r}", line_no)
-        parser, validator = _KEY_TABLE[key]
+        path, rule, exponent = _KEY_TABLE[key]
         try:
-            values[key] = validator(parser(value_text))
+            if exponent is None:
+                value = _PARSERS[type(_field(default, path))](value_text)
+            else:
+                value = _parse_scaled(value_text, exponent)
         except ValueError as exc:
             raise ConfigFileError(str(exc), line_no) from None
-    return _build_config(values)
+        if not rule.ok(value):
+            raise ConfigFileError(f"{key} must be {rule.text}, got {value}", line_no)
+        values[path] = value
+    return _build(default, values)
 
 
-def _build_config(v: dict) -> RunConfig:
-    elements = ElementParams(
-        pbs_extinction_db=v["pbs_extinction_db"],
-        pc_phase_phi0=v["phi0_rad"],
-        pc_misalignment_eps=v["pc_misalignment_eps_rad"],
-        bs_insertion_loss_db=v["bs_insertion_loss_db"],
-        attenuator_loss_db=v["attenuator_loss_db"],
-        modulator_vpi=v["vpi_volts"],
-        modulator_insertion_loss_db=v["modulator_insertion_loss_db"],
-    )
-    drift = DriftProfile(
-        kind=v["drift_kind"],
-        amplitude_rad=v["drift_amplitude_rad"],
-        rate_rad_per_s=v["drift_rate_rad_per_s"],
-        period_s=v["drift_period_s"],
-    )
-    encoder = EncoderConfig(
-        delta_l_m=v["delta_l_m"],
-        fiber_index=v["fiber_index"],
-        optical_fwhm_s=v["optical_fwhm_ns"],
-        electrical_pulse_width_s=v["electrical_pulse_width_ns"],
-        delay_granularity_s=v["delay_granularity_ps"],
-        encoding_mode=v["encoding_mode"],
-        a_pulse_direction=v["a_pulse_direction"],
-        phase_jitter_sigma=v["phase_jitter_sigma_rad"],
-        drive_jitter_sigma=v["drive_jitter_sigma_rad"],
-        source_mean_photon_number=v["source_mean_photon_number"],
-        elements=elements,
-        drift=drift,
-    )
-    detector = DetectorParams(
-        efficiency=v["detector_efficiency"],
-        dark_count_prob_per_gate=v["dark_count_prob"],
-        basis=v["measure_basis"],
-        double_click_policy=v["double_click_policy"],
-    )
-    return RunConfig(
-        encoder=encoder,
-        detector=detector,
-        repetition_rate_hz=v["repetition_rate_hz"],
-        duration_s=v["duration_s"],
-        window_s=v["window_s"],
-        sequence_mode=v["sequence_mode"],
-        sequence_seed=v["sequence_seed"],
-        detection_seed=v["detection_seed"],
-    )
+def _build(default, values: dict, prefix: str = ""):
+    """``default`` with the fields named in ``values`` (dotted path ->
+    value) replaced, each nested dataclass constructed once, innermost
+    first, so cross-field checks only ever see complete settings."""
+    kwargs = {}
+    for f in fields(default):
+        path = prefix + f.name
+        value = getattr(default, f.name)
+        kwargs[f.name] = _build(value, values, path + ".") if is_dataclass(value) else values.get(path, value)
+    return type(default)(**kwargs)
 
 
 def format_config(config: RunConfig) -> str:
     """Render a RunConfig as key = value lines; parse_config() round-trips it."""
-    enc = config.encoder
-    det = config.detector
-    values = {
-        "delta_l_m": enc.delta_l_m,
-        "fiber_index": enc.fiber_index,
-        "phi0_rad": enc.phi0,
-        "vpi_volts": enc.vpi,
-        "optical_fwhm_ns": _scaled_out(enc.optical_fwhm_s, 9),
-        "electrical_pulse_width_ns": _scaled_out(enc.electrical_pulse_width_s, 9),
-        "delay_granularity_ps": _scaled_out(enc.delay_granularity_s, 12),
-        "encoding_mode": enc.encoding_mode,
-        "a_pulse_direction": enc.a_pulse_direction,
-        "phase_jitter_sigma_rad": enc.phase_jitter_sigma,
-        "drive_jitter_sigma_rad": enc.drive_jitter_sigma,
-        "pc_misalignment_eps_rad": enc.elements.pc_misalignment_eps,
-        "pbs_extinction_db": enc.elements.pbs_extinction_db,
-        "bs_insertion_loss_db": enc.elements.bs_insertion_loss_db,
-        "modulator_insertion_loss_db": enc.elements.modulator_insertion_loss_db,
-        "attenuator_loss_db": enc.elements.attenuator_loss_db,
-        "source_mean_photon_number": enc.source_mean_photon_number,
-        "drift_kind": enc.drift.kind,
-        "drift_amplitude_rad": enc.drift.amplitude_rad,
-        "drift_rate_rad_per_s": enc.drift.rate_rad_per_s,
-        "drift_period_s": enc.drift.period_s,
-        "detector_efficiency": det.efficiency,
-        "dark_count_prob": det.dark_count_prob_per_gate,
-        "measure_basis": det.basis,
-        "double_click_policy": det.double_click_policy,
-        "repetition_rate_hz": config.repetition_rate_hz,
-        "duration_s": config.duration_s,
-        "window_s": config.window_s,
-        "sequence_mode": config.sequence_mode,
-        "sequence_seed": config.sequence_seed,
-        "detection_seed": config.detection_seed,
-    }
-    return "\n".join(f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in values.items()) + "\n"
+    lines = []
+    for key, (path, _, exponent) in _KEY_TABLE.items():
+        value = _field(config, path)
+        if exponent is not None:
+            value = _scaled_out(value, -exponent)
+        elif isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,20 @@
-"""Transfer-matrix factories for the physical components of the link:
-polarizing beamsplitter, polarization controller, half-wave plate,
-attenuators, and the electro-optic phase response of the modulator.
+"""Optical element parameters of the link, the half-wave plate of the
+analyzer, and the dB and drive-voltage conversions.
 
 Loss bookkeeping is scalar (dB -> power factor); polarization action is a
-2x2 transfer matrix. Factories are pure and the resulting matrices are
-immutable, so everything here is safe to share between threads.
+2x2 transfer matrix. Everything here is pure and the matrices are
+immutable, so it is safe to share between threads.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .polarization import SQRT_HALF, TransferMatrix
+from .polarization import TransferMatrix
 
 
 def db_to_power(db: float) -> float:
@@ -28,8 +26,10 @@ def db_to_power(db: float) -> float:
 class ElementParams:
     """Imperfection and loss knobs for every optical element in the chain.
 
-    pbs_extinction_db        power extinction ratio of the fiber PBS
-                             (math.inf = ideal)
+    pbs_extinction_db        power extinction ratio of the loop PBS
+                             (math.inf = ideal); recorded in every
+                             provenance header but not modelled: the loop
+                             PBS is ideal
     pc_phase_phi0            equator angle phi0 the input controller dials in
     pc_misalignment_eps      residual controller misalignment, radians
     bs_insertion_loss_db     per-pass loss of the 50:50 splitter standing in
@@ -66,47 +66,6 @@ def phase_from_voltage(volts: float, vpi: float) -> float:
     if vpi <= 0.0:
         raise ConfigurationError(f"modulator vpi must be positive, got {vpi}")
     return math.pi * volts / vpi
-
-
-def make_pbs(extinction_ratio_db: float = 30.0) -> tuple[TransferMatrix, TransferMatrix]:
-    """(transmit, reflect) transfer matrices of a polarizing beamsplitter.
-
-    The transmit port passes H with amplitude sqrt(1 - l) and leaks V with
-    amplitude sqrt(l), where l = 10^(-ER/10); the reflect port is the
-    complement, so the two survival probabilities always sum to 1.
-    """
-    if extinction_ratio_db < 0.0:
-        raise ConfigurationError(f"extinction ratio must be >= 0 dB, got {extinction_ratio_db}")
-    leak = 0.0 if math.isinf(extinction_ratio_db) else db_to_power(extinction_ratio_db)
-    t = math.sqrt(1.0 - leak)
-    r = math.sqrt(leak)
-    transmit = TransferMatrix(np.array([[t, 0.0], [0.0, r]], dtype=complex))
-    reflect = TransferMatrix(np.array([[r, 0.0], [0.0, t]], dtype=complex))
-    return transmit, reflect
-
-
-def make_polarization_controller(phi0: float, eps: float = 0.0) -> TransferMatrix:
-    """Unitary taking the |H>-polarized source onto the equator state
-    (|H> + e^{i phi0} |V>)/sqrt(2).
-
-    ``eps`` models residual alignment error as a Bloch rotation of the
-    incoming polarization about the s2 axis ahead of the ideal mapping.
-    The produced state then sits at equator angle phi0 + eps, so its
-    fidelity to the eps = 0 target is cos^2(eps/2).
-    """
-    e0 = cmath.exp(1j * phi0)
-    ideal = np.array([[1.0, 1.0], [e0, -e0]], dtype=complex) * SQRT_HALF
-    c = math.cos(eps / 2.0)
-    s = math.sin(eps / 2.0)
-    misalign = np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    return TransferMatrix(ideal @ misalign)
-
-
-def make_attenuator(loss_db: float) -> float:
-    """Scalar power factor of a polarization-neutral attenuator."""
-    if loss_db < 0.0:
-        raise ConfigurationError(f"attenuation must be >= 0 dB, got {loss_db}")
-    return db_to_power(loss_db)
 
 
 def make_hwp(angle: float) -> TransferMatrix:

@@ -66,7 +66,7 @@ class DriftProfile:
 
     kind "none":       theta = 0
     kind "linear":     theta = amplitude_rad + rate_rad_per_s * t
-                       (rate 0 gives a constant offset)
+                       (rate 0 gives a constant offset of either sign)
     kind "sinusoidal": theta = amplitude_rad * sin(2 pi t / period_s)
 
     Times may be floats or numpy arrays.
@@ -80,10 +80,11 @@ class DriftProfile:
     def __post_init__(self):
         if self.kind not in (DRIFT_NONE, DRIFT_LINEAR, DRIFT_SINUSOIDAL):
             raise ConfigurationError(f"unknown drift kind {self.kind!r}")
-        if self.amplitude_rad < 0.0:
-            raise ConfigurationError(f"drift amplitude must be >= 0, got {self.amplitude_rad}")
-        if self.kind == DRIFT_SINUSOIDAL and self.period_s <= 0.0:
-            raise ConfigurationError("sinusoidal drift needs a positive period_s")
+        if self.kind == DRIFT_SINUSOIDAL:
+            if self.amplitude_rad < 0.0:
+                raise ConfigurationError(f"sinusoidal drift amplitude must be >= 0, got {self.amplitude_rad}")
+            if self.period_s <= 0.0:
+                raise ConfigurationError("sinusoidal drift needs a positive period_s")
 
     def theta(self, t: float) -> float:
         if self.kind == DRIFT_LINEAR:

@@ -1,9 +1,9 @@
-"""Jones-calculus core: polarization states, 2x2 transfer matrices,
-fidelity, and Stokes conversion.
+"""Jones-calculus core: polarization states, 2x2 transfer matrices and
+fidelity.
 
 States never compare by raw components. The global phase of a Jones vector
 carries no physics, so every comparison in this package goes through
-``fidelity`` or ``to_stokes``.
+``fidelity``.
 """
 
 from __future__ import annotations
@@ -58,41 +58,6 @@ def normalize(v: JonesVector) -> JonesVector:
 def fidelity(a: JonesVector, b: JonesVector) -> float:
     """|<a|b>|^2 for normalized inputs; symmetric and global-phase invariant."""
     return abs(a.inner(b)) ** 2
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    """Bloch-sphere direction (s1, s2, s3) of a polarization state."""
-
-    s1: float
-    s2: float
-    s3: float
-
-
-def to_stokes(v: JonesVector) -> StokesVector:
-    """s1 = |h|^2 - |v|^2, s2 = 2 Re(h* v), s3 = 2 Im(h* v).
-
-    Under this convention |L> = (|H> + i|V>)/sqrt(2) sits at s3 = +1.
-    """
-    cross = v.h.conjugate() * v.v
-    return StokesVector(
-        abs(v.h) ** 2 - abs(v.v) ** 2,
-        2.0 * cross.real,
-        2.0 * cross.imag,
-    )
-
-
-def jones_from_stokes(s: StokesVector) -> JonesVector:
-    """Pure state pointing along ``s``, fixed up to a global phase.
-
-    Reconstructs from the pole nearer the state: near s1 = -1 the (s2, s3)
-    pair vanishes and dividing by the tiny h amplitude would destroy it.
-    """
-    if s.s1 >= 0.0:
-        h = math.sqrt((1.0 + s.s1) / 2.0)
-        return normalize(JonesVector(h + 0j, complex(s.s2, s.s3) / (2.0 * h)))
-    v = math.sqrt((1.0 - s.s1) / 2.0)
-    return normalize(JonesVector(complex(s.s2, -s.s3) / (2.0 * v), v + 0j))
 
 
 @dataclass(frozen=True, eq=False)

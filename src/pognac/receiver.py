@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,10 +130,3 @@ def simulate_detection(
     p = click_probabilities(pulse.state, pulse.mean_photon_number, params)
     code = sample_outcomes(p, np.random.default_rng(rng_seed).random())
     return DetectionRecord(pulse_index, pulse.sent_label, params.basis, OUTCOMES[code])
-
-
-def records_to_csv(records: Sequence[DetectionRecord]) -> str:
-    """Debug dump of detection records; column order is fixed."""
-    lines = ["pulse_index,sent_label,basis,outcome"]
-    lines += [f"{r.pulse_index},{r.sent_label},{r.basis},{r.outcome}" for r in records]
-    return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ streams' PCG64 states are computed for a batch of windows at once
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import NamedTuple
@@ -418,6 +419,17 @@ def sift_and_qber(
     return tally.series(np.unique(codes).tolist(), window_s)
 
 
+@contextmanager
+def _out_of_range_is_a_config_error():
+    """A numpy overflow, NaN or division by zero in the kernel comes from a
+    config value out of simulable range: raise it as a ConfigurationError."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigurationError(f"the configuration takes the simulation out of floating-point range: {exc}") from None
+
+
 def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     """Stream one run through the kernel for each pipeline in
     ``inline_flags`` (False: loop encoder, True: inline modulator).
@@ -438,29 +450,30 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     rng_emit, rng_det = (np.random.Generator(b) for b in bitgens)
     open_window = -1
     start = 0
-    for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed):
-        index = np.arange(start, start + len(codes))
-        start += len(codes)
-        t = index / rate
-        windows = _windows(index, rate, window_s)
-        normals = np.empty(len(codes))
-        uniforms = np.empty(len(codes))
-        cuts = [0, *(np.flatnonzero(np.diff(windows)) + 1).tolist(), len(codes)]
-        for a, b in zip(cuts, cuts[1:]):
-            w = int(windows[a])
-            # a window continued from the previous block keeps its streams'
-            # state; windows without pulses skip theirs
-            if w != open_window:
-                for bitgen, state in zip(bitgens, next(islice(streams, w - open_window - 1, None))):
-                    bitgen.state = state
-                open_window = w
-            rng_emit.standard_normal(out=normals[a:b])
-            rng_det.random(out=uniforms[a:b])
-            pulses[w] += b - a
-        for inline, tally in zip(inline_flags, tallies):
-            state = emit_batch(codes, t, normals, config.encoder, inline)
-            outcomes = sample_outcomes(joint_probabilities(*state, mu, det), uniforms).astype(np.uint8)
-            tally.add(windows, codes, outcomes)
+    with _out_of_range_is_a_config_error():
+        for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed):
+            index = np.arange(start, start + len(codes))
+            start += len(codes)
+            t = index / rate
+            windows = _windows(index, rate, window_s)
+            normals = np.empty(len(codes))
+            uniforms = np.empty(len(codes))
+            cuts = [0, *(np.flatnonzero(np.diff(windows)) + 1).tolist(), len(codes)]
+            for a, b in zip(cuts, cuts[1:]):
+                w = int(windows[a])
+                # a window continued from the previous block keeps its streams'
+                # state; windows without pulses skip theirs
+                if w != open_window:
+                    for bitgen, state in zip(bitgens, next(islice(streams, w - open_window - 1, None))):
+                        bitgen.state = state
+                    open_window = w
+                rng_emit.standard_normal(out=normals[a:b])
+                rng_det.random(out=uniforms[a:b])
+                pulses[w] += b - a
+            for inline, tally in zip(inline_flags, tallies):
+                state = emit_batch(codes, t, normals, config.encoder, inline)
+                outcomes = sample_outcomes(joint_probabilities(*state, mu, det), uniforms).astype(np.uint8)
+                tally.add(windows, codes, outcomes)
 
     # every pulse lands in some slot, so a label was sent iff it has counts
     labels = np.flatnonzero(tallies[0].cells.sum(axis=(0, 2))).tolist()

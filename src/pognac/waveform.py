@@ -42,12 +42,6 @@ class Waveform:
                 )
         object.__setattr__(self, "segments", segs)
 
-    def to_csv(self) -> str:
-        """Debug dump, one row per segment; column order is fixed."""
-        lines = ["start,duration,level"]
-        lines += [f"{s.start!r},{s.duration!r},{s.level!r}" for s in self.segments]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class PatternSpec:
@@ -57,7 +51,6 @@ class PatternSpec:
     the A state in two-level mode (either works; CW is the default).
     """
 
-    period: float = math.inf  # s, laser repetition period
     pulse_width: float = 3e-9  # s
     delay_granularity: float = 100e-12  # s
     mode: str = MODE_TWO_LEVEL
@@ -69,10 +62,6 @@ class PatternSpec:
         if self.delay_granularity <= 0.0:
             raise ConfigurationError(
                 f"delay_granularity must be positive, got {self.delay_granularity}"
-            )
-        if not self.period > self.pulse_width:
-            raise ConfigurationError(
-                f"period {self.period} s must exceed the pulse width {self.pulse_width} s"
             )
         if self.mode not in (MODE_TWO_LEVEL, MODE_FOUR_LEVEL):
             raise ConfigurationError(f"unknown encoding mode {self.mode!r}")
@@ -144,11 +133,3 @@ def pattern_for_state(
 
     start = quantize_delay(center - spec.pulse_width / 2.0, spec.delay_granularity)
     return Waveform((Segment(start, spec.pulse_width, level),))
-
-
-def voltage_at(w: Waveform, t: float) -> float:
-    """Drive level at time ``t``; segments are half-open [start, start+duration)."""
-    for seg in w.segments:
-        if seg.start <= t < seg.start + seg.duration:
-            return seg.level
-    return w.baseline

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields, is_dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,8 @@ from pognac.cli import (
     parse_config,
     run,
 )
-from pognac.errors import ConfigFileError
+from pognac.encoder import DriftProfile
+from pognac.errors import ConfigFileError, ConfigurationError
 from pognac.presets import preset_config
 from pognac.runner import RunConfig
 
@@ -77,6 +80,26 @@ def test_round_trip_awkward_floats():
     cfg = parse_config(text)
     again = parse_config(format_config(cfg))
     assert again == cfg
+
+
+def _leaves(obj, prefix=""):
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_key_table_reaches_every_field_exactly_once():
+    assert sorted(row.path for row in _KEY_TABLE.values()) == sorted(_leaves(RunConfig()))
+
+
+def test_linear_drift_takes_a_negative_offset():
+    drift = parse_config("drift_kind = linear\ndrift_amplitude_rad = -1\n").encoder.drift
+    assert drift == DriftProfile.constant(-1.0)
+    with pytest.raises(ConfigurationError, match="sinusoidal drift amplitude must be >= 0"):
+        parse_config("drift_kind = sinusoidal\ndrift_amplitude_rad = -1\ndrift_period_s = 10\n")
 
 
 def tiny_config_text(seed=9):
@@ -162,6 +185,16 @@ def test_ideal_pbs_extinction_may_be_infinite():
         ("repetition_rate_hz = 1e300\n", "more than the cap of 1099511627776"),
         ("duration_s = 1e300\nrepetition_rate_hz = 1e300\n", "inf pulses"),
         ("duration_s = 1e300\nwindow_s = 1e-300\nrepetition_rate_hz = 1e-290\n", "inf windows"),
+        # finite values whose products overflow inside the kernel
+        (
+            "repetition_rate_hz = 1e4\nduration_s = 0.02\nwindow_s = 1e-3\nphase_jitter_sigma_rad = 1e308\n",
+            "the configuration takes the simulation out of floating-point range: overflow",
+        ),
+        (
+            "repetition_rate_hz = 1e4\nduration_s = 0.02\nwindow_s = 1e-3\ndrift_kind = sinusoidal\n"
+            "drift_amplitude_rad = 1e308\ndrift_period_s = 1e-308\n",
+            "the configuration takes the simulation out of floating-point range: overflow",
+        ),
     ],
 )
 def test_run_rejects_runs_above_the_caps(tmp_path, capsys, text, message):
@@ -216,6 +249,49 @@ _odd_lines = st.one_of(
     ),
     st.sampled_from(["no equals sign", "turbo = on", "= 3", "# comment", ""]),
 )
+
+
+_DEFAULT_TEXT = dict(line.split(" = ") for line in format_config(RunConfig()).splitlines())
+_SIGNED = {"phi0_rad", "pc_misalignment_eps_rad", "drift_rate_rad_per_s"}
+# Ranges that keep every combination valid: fiber_index >= 1, probabilities
+# in [0, 1], and a run of at most 1e11 pulses in at most 1e5 windows.
+_IN_RANGE = {
+    "fiber_index": (1, 10),
+    "detector_efficiency": (0, 1),
+    "dark_count_prob": (0, 1),
+    "repetition_rate_hz": (1, 10**9),
+    "duration_s": (1, 100),
+    "window_s": ("0.001", 1),
+}
+
+
+def _off_default(key):
+    """Text of a random in-range value of ``key`` other than its default.
+
+    Numbers have at most 13 significant digits, so each is exactly the
+    shortest repr of its float, in any decimal unit."""
+    default = _DEFAULT_TEXT[key]
+    if key in _CHOICES:
+        return st.sampled_from([c for c in _CHOICES[key] if c != default])
+    if key.endswith("_seed"):
+        return st.integers(0, 2**70).map(str).filter(lambda v: v != default)
+    lo, hi = _IN_RANGE.get(key, (-(10**6) if key in _SIGNED else "0.001", 10**6))
+    return st.decimals(lo, hi, places=6).map(str).filter(lambda v: Decimal(v) != Decimal(default))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({key: _off_default(key) for key in _KEY_TABLE}))
+def test_round_trip_every_key_off_its_default(drawn):
+    cfg = parse_config("".join(f"{key} = {value}\n" for key, value in drawn.items()))
+    text = format_config(cfg)
+    assert parse_config(text) == cfg
+    lines = dict(line.split(" = ") for line in text.splitlines())
+    assert lines.keys() == drawn.keys()
+    for key, value in drawn.items():
+        if key in _CHOICES:
+            assert lines[key] == value
+        else:
+            assert Decimal(lines[key]) == Decimal(value), key
 
 
 @settings(max_examples=500, deadline=None)

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from pognac.elements import (
     ElementParams,
     db_to_power,
-    make_attenuator,
     make_hwp,
-    make_pbs,
-    make_polarization_controller,
     phase_from_voltage,
 )
 from pognac.errors import ConfigurationError
@@ -35,77 +32,6 @@ def test_phase_from_voltage_rejects_bad_vpi():
         phase_from_voltage(1.0, 0.0)
     with pytest.raises(ConfigurationError):
         phase_from_voltage(1.0, -2.0)
-
-
-def test_ideal_pbs_splits_d():
-    transmit, reflect = make_pbs(math.inf)
-    out_t = apply(transmit, D)
-    out_r = apply(reflect, D)
-    assert fidelity(out_t.state, H) == pytest.approx(1.0, abs=1e-12)
-    assert out_t.survival == pytest.approx(0.5, abs=1e-12)
-    assert fidelity(out_r.state, V) == pytest.approx(1.0, abs=1e-12)
-    assert out_r.survival == pytest.approx(0.5, abs=1e-12)
-
-
-def test_ideal_pbs_passes_h():
-    transmit, reflect = make_pbs(math.inf)
-    assert apply(transmit, H).survival == pytest.approx(1.0, abs=1e-12)
-    assert apply(reflect, H).survival == pytest.approx(0.0, abs=1e-12)
-
-
-def test_finite_extinction_leakage():
-    # independent oracle: direct matrix arithmetic at ER = 20 dB
-    leak = 10.0 ** (-20.0 / 10.0)
-    oracle = np.array([[math.sqrt(1 - leak), 0.0], [0.0, math.sqrt(leak)]])
-    v_in = np.array([0.0, 1.0])
-    expected = float(np.linalg.norm(oracle @ v_in) ** 2)
-    assert expected == pytest.approx(0.01, abs=1e-15)
-
-    transmit, _ = make_pbs(20.0)
-    assert apply(transmit, V).survival == pytest.approx(expected, abs=1e-12)
-
-
-@given(st.floats(min_value=0.0, max_value=60.0), states)
-@settings(max_examples=100, deadline=None)
-def test_pbs_ports_conserve_power(er_db, state):
-    transmit, reflect = make_pbs(er_db)
-    total = apply(transmit, state).survival + apply(reflect, state).survival
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pc_maps_h_to_equator():
-    pc = make_polarization_controller(0.0)
-    assert fidelity(apply(pc, H).state, D) == pytest.approx(1.0, abs=1e-12)
-    pc = make_polarization_controller(math.pi / 2)
-    assert fidelity(apply(pc, H).state, L) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pc_misalignment_costs_cos_squared():
-    # rotation-algebra oracle: a Bloch rotation by eps perpendicular to the
-    # state knocks the fidelity down to cos^2(eps/2)
-    eps = 0.1
-    expected = math.cos(eps / 2.0) ** 2
-    pc = make_polarization_controller(0.0, eps)
-    assert fidelity(apply(pc, H).state, D) == pytest.approx(expected, abs=1e-12)
-
-
-@given(angles, st.floats(min_value=-1.0, max_value=1.0))
-@settings(max_examples=100, deadline=None)
-def test_pc_always_unitary(phi0, eps):
-    assert make_polarization_controller(phi0, eps).is_unitary(1e-12)
-
-
-def test_attenuator_values():
-    assert make_attenuator(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert make_attenuator(10.0) == pytest.approx(0.1, abs=1e-15)
-    # 6 dB -> 10^-0.6 (two passes of the 3 dB splitter)
-    assert make_attenuator(6.0) == pytest.approx(10.0**-0.6, abs=1e-15)
-    assert make_attenuator(6.0) == pytest.approx(0.2512, abs=1e-4)
-
-
-def test_attenuator_rejects_gain():
-    with pytest.raises(ConfigurationError):
-        make_attenuator(-1.0)
 
 
 def test_hwp_at_zero_keeps_h():

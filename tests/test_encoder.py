@@ -167,7 +167,7 @@ def test_encode_two_pi_periodic(phi_e, phi_l, phi0):
 
 
 def test_constant_drift_cancels_bitwise():
-    for offset in (1.3, 1e4, 123456.789):
+    for offset in (1.3, 1e4, 123456.789, -1.0, -2.5, -123456.789):
         drift = DriftProfile.constant(offset)
         drifted = encode_with_drift(0.7, 0.2, 0.1, drift, 100.0, 100.0 + 4.836e-9)
         clean = encode(0.7, 0.2, 0.1)

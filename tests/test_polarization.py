@@ -18,9 +18,7 @@ from pognac.polarization import (
     V,
     apply,
     fidelity,
-    jones_from_stokes,
     normalize,
-    to_stokes,
 )
 
 from conftest import su2
@@ -75,15 +73,6 @@ def test_mub_structure():
     for key in (L, R):
         for check in (D, A):
             assert fidelity(key, check) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_to_stokes_definitions():
-    s = to_stokes(H)
-    assert (s.s1, s.s2, s.s3) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-    s = to_stokes(D)
-    assert (s.s1, s.s2, s.s3) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
-    s = to_stokes(L)
-    assert (s.s1, s.s2, s.s3) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
 
 def test_apply_identity():
@@ -142,17 +131,3 @@ def test_fidelity_invariant_under_common_unitary(a, b, c, x, y):
 def test_fidelity_invariant_under_global_phase(v, phase):
     shifted = JonesVector(v.h * cmath.exp(1j * phase), v.v * cmath.exp(1j * phase))
     assert fidelity(v, shifted) == pytest.approx(1.0, abs=1e-12)
-
-
-@given(states)
-@settings(max_examples=100, deadline=None)
-def test_stokes_round_trip(v):
-    back = jones_from_stokes(to_stokes(v))
-    assert fidelity(v, back) == pytest.approx(1.0, abs=1e-10)
-
-
-@given(states)
-@settings(max_examples=100, deadline=None)
-def test_stokes_pure_state_on_sphere(v):
-    s = to_stokes(v)
-    assert s.s1**2 + s.s2**2 + s.s3**2 == pytest.approx(1.0, abs=1e-9)

@@ -17,7 +17,6 @@ from pognac.receiver import (
     OUTCOME_NONE,
     DetectorParams,
     click_probabilities,
-    records_to_csv,
     simulate_detection,
 )
 
@@ -168,13 +167,3 @@ def test_detector_params_validation():
         DetectorParams(basis="XY")
     with pytest.raises(ConfigurationError):
         DetectorParams(double_click_policy="coinflip")
-
-
-def test_records_csv_schema():
-    params = DetectorParams()
-    recs = [simulate_detection(pulse_of(H, 0.5), params, i, pulse_index=i) for i in range(3)]
-    text = records_to_csv(recs)
-    lines = text.splitlines()
-    assert lines[0] == "pulse_index,sent_label,basis,outcome"
-    assert len(lines) == 4
-    assert lines[1].startswith("0,H,HV,")

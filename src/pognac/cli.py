@@ -15,22 +15,17 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from decimal import Decimal, InvalidOperation
 from functools import reduce
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .encoder import DRIFT_LINEAR, DRIFT_NONE, DRIFT_SINUSOIDAL
-from .errors import ConfigFileError, ConfigurationError
+from .errors import ConfigFileError, ConfigurationError, Rule
 from .presets import PRESETS, preset_config
-from .receiver import BASIS_DA, BASIS_HV, POLICY_DISCARD, POLICY_RANDOM
 from .runner import (
-    SEQUENCE_DA,
-    SEQUENCE_HVD,
     DriftComparisonResult,
     RunConfig,
     RunResult,
     drift_comparison,
     run_experiment,
 )
-from .waveform import MODE_FOUR_LEVEL, MODE_TWO_LEVEL
 
 _GENERATOR_NOTES = {
     "hvd-pseudorandom": "numpy default_rng (PCG64); uniform integers 0..2 mapped to L,R,D",
@@ -70,74 +65,61 @@ def _parse_int(text: str) -> int:
 _PARSERS = {float: _parse_number, int: _parse_int, str: str}
 
 
-class _Rule(NamedTuple):
-    text: str
-    ok: Callable
-
-
-def _one_of(*choices: str) -> _Rule:
-    return _Rule(f"one of {choices}", lambda v: v in choices)
-
-
-_FINITE = _Rule("finite", math.isfinite)
-_NONNEG = _Rule(">= 0 and finite", lambda v: 0 <= v < math.inf)
-_POSITIVE = _Rule("positive and finite", lambda v: 0 < v < math.inf)
-_UNIT_INTERVAL = _Rule("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-_SEED = _Rule(">= 0", lambda v: v >= 0)
-
-
 class _Key(NamedTuple):
-    """One config key: the dotted path of its RunConfig field, the rule its
-    value must meet, and the power of ten of its unit when that is not the
-    field's base unit. The field's default value picks the parser."""
+    """One config key: the dotted path of its RunConfig field, and the power
+    of ten of its unit when that is not the field's base unit. The field's
+    default value picks the parser, and the rule declared on the field
+    (errors.ruled) is the key's valid range."""
 
     path: str
-    rule: _Rule
     exponent: int | None = None
 
 
 # Every physical quantity carries its unit in the key name; rows are in
 # provenance-header order. Omitted keys take the RunConfig() defaults.
-# Every float must be finite, except an ideal PBS's infinite extinction.
 _KEY_TABLE = {
-    "delta_l_m": _Key("encoder.delta_l_m", _NONNEG),
-    "fiber_index": _Key("encoder.fiber_index", _POSITIVE),
-    "phi0_rad": _Key("encoder.elements.pc_phase_phi0", _FINITE),
-    "vpi_volts": _Key("encoder.elements.modulator_vpi", _POSITIVE),
-    "optical_fwhm_ns": _Key("encoder.optical_fwhm_s", _POSITIVE, -9),
-    "electrical_pulse_width_ns": _Key("encoder.electrical_pulse_width_s", _POSITIVE, -9),
-    "delay_granularity_ps": _Key("encoder.delay_granularity_s", _POSITIVE, -12),
-    "encoding_mode": _Key("encoder.encoding_mode", _one_of(MODE_TWO_LEVEL, MODE_FOUR_LEVEL)),
-    "a_pulse_direction": _Key("encoder.a_pulse_direction", _one_of("cw", "ccw")),
-    "phase_jitter_sigma_rad": _Key("encoder.phase_jitter_sigma", _NONNEG),
-    "drive_jitter_sigma_rad": _Key("encoder.drive_jitter_sigma", _NONNEG),
-    "pc_misalignment_eps_rad": _Key("encoder.elements.pc_misalignment_eps", _FINITE),
-    "pbs_extinction_db": _Key(
-        "encoder.elements.pbs_extinction_db", _Rule(">= 0 (inf: an ideal PBS)", lambda v: v >= 0)
-    ),
-    "bs_insertion_loss_db": _Key("encoder.elements.bs_insertion_loss_db", _NONNEG),
-    "modulator_insertion_loss_db": _Key("encoder.elements.modulator_insertion_loss_db", _NONNEG),
-    "attenuator_loss_db": _Key("encoder.elements.attenuator_loss_db", _NONNEG),
-    "source_mean_photon_number": _Key("encoder.source_mean_photon_number", _NONNEG),
-    "drift_kind": _Key("encoder.drift.kind", _one_of(DRIFT_NONE, DRIFT_LINEAR, DRIFT_SINUSOIDAL)),
-    "drift_amplitude_rad": _Key("encoder.drift.amplitude_rad", _FINITE),
-    "drift_rate_rad_per_s": _Key("encoder.drift.rate_rad_per_s", _FINITE),
-    "drift_period_s": _Key("encoder.drift.period_s", _NONNEG),
-    "detector_efficiency": _Key("detector.efficiency", _UNIT_INTERVAL),
-    "dark_count_prob": _Key("detector.dark_count_prob_per_gate", _UNIT_INTERVAL),
-    "measure_basis": _Key("detector.basis", _one_of(BASIS_HV, BASIS_DA)),
-    "double_click_policy": _Key("detector.double_click_policy", _one_of(POLICY_DISCARD, POLICY_RANDOM)),
-    "repetition_rate_hz": _Key("repetition_rate_hz", _POSITIVE),
-    "duration_s": _Key("duration_s", _POSITIVE),
-    "window_s": _Key("window_s", _POSITIVE),
-    "sequence_mode": _Key("sequence_mode", _one_of(SEQUENCE_HVD, SEQUENCE_DA)),
-    "sequence_seed": _Key("sequence_seed", _SEED),
-    "detection_seed": _Key("detection_seed", _SEED),
+    "delta_l_m": _Key("encoder.delta_l_m"),
+    "fiber_index": _Key("encoder.fiber_index"),
+    "phi0_rad": _Key("encoder.elements.pc_phase_phi0"),
+    "vpi_volts": _Key("encoder.elements.modulator_vpi"),
+    "optical_fwhm_ns": _Key("encoder.optical_fwhm_s", -9),
+    "electrical_pulse_width_ns": _Key("encoder.electrical_pulse_width_s", -9),
+    "delay_granularity_ps": _Key("encoder.delay_granularity_s", -12),
+    "encoding_mode": _Key("encoder.encoding_mode"),
+    "a_pulse_direction": _Key("encoder.a_pulse_direction"),
+    "phase_jitter_sigma_rad": _Key("encoder.phase_jitter_sigma"),
+    "drive_jitter_sigma_rad": _Key("encoder.drive_jitter_sigma"),
+    "pc_misalignment_eps_rad": _Key("encoder.elements.pc_misalignment_eps"),
+    "pbs_extinction_db": _Key("encoder.elements.pbs_extinction_db"),
+    "bs_insertion_loss_db": _Key("encoder.elements.bs_insertion_loss_db"),
+    "modulator_insertion_loss_db": _Key("encoder.elements.modulator_insertion_loss_db"),
+    "attenuator_loss_db": _Key("encoder.elements.attenuator_loss_db"),
+    "source_mean_photon_number": _Key("encoder.source_mean_photon_number"),
+    "drift_kind": _Key("encoder.drift.kind"),
+    "drift_amplitude_rad": _Key("encoder.drift.amplitude_rad"),
+    "drift_rate_rad_per_s": _Key("encoder.drift.rate_rad_per_s"),
+    "drift_period_s": _Key("encoder.drift.period_s"),
+    "detector_efficiency": _Key("detector.efficiency"),
+    "dark_count_prob": _Key("detector.dark_count_prob_per_gate"),
+    "measure_basis": _Key("detector.basis"),
+    "double_click_policy": _Key("detector.double_click_policy"),
+    "repetition_rate_hz": _Key("repetition_rate_hz"),
+    "duration_s": _Key("duration_s"),
+    "window_s": _Key("window_s"),
+    "sequence_mode": _Key("sequence_mode"),
+    "sequence_seed": _Key("sequence_seed"),
+    "detection_seed": _Key("detection_seed"),
 }
 
 
 def _field(config, path: str):
     return reduce(getattr, path.split("."), config)
+
+
+def _rule(config, path: str) -> Rule:
+    """The rule declared on the field at ``path``."""
+    *owners, name = path.split(".")
+    return reduce(getattr, owners, config).__dataclass_fields__[name].metadata["rule"]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -160,17 +142,15 @@ def parse_config(text: str) -> RunConfig:
         value_text = value_text.strip()
         if key not in _KEY_TABLE:
             raise ConfigFileError(f"unknown key {key!r}", line_no)
-        path, rule, exponent = _KEY_TABLE[key]
+        path, exponent = _KEY_TABLE[key]
         try:
             if exponent is None:
                 value = _PARSERS[type(_field(default, path))](value_text)
             else:
                 value = _parse_scaled(value_text, exponent)
-        except ValueError as exc:
+            values[path] = _rule(default, path).check(key, value)
+        except ValueError as exc:  # a ConfigurationError is one too
             raise ConfigFileError(str(exc), line_no) from None
-        if not rule.ok(value):
-            raise ConfigFileError(f"{key} must be {rule.text}, got {value}", line_no)
-        values[path] = value
     return _build(default, values)
 
 
@@ -189,7 +169,7 @@ def _build(default, values: dict, prefix: str = ""):
 def format_config(config: RunConfig) -> str:
     """Render a RunConfig as key = value lines; parse_config() round-trips it."""
     lines = []
-    for key, (path, _, exponent) in _KEY_TABLE.items():
+    for key, (path, exponent) in _KEY_TABLE.items():
         value = _field(config, path)
         if exponent is not None:
             value = _scaled_out(value, -exponent)

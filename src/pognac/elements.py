@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import FINITE, NONNEG, POSITIVE, Rule, check_fields, ruled
 from .polarization import TransferMatrix
 
 
@@ -38,33 +38,27 @@ class ElementParams:
                              single-photon level
     modulator_vpi            half-wave voltage of the phase modulator
     modulator_insertion_loss_db
+
+    Each field declares its valid range (errors.ruled), checked here and by
+    the config parser: losses >= 0, vpi > 0, every value finite except an
+    ideal PBS's infinite extinction.
     """
 
-    pbs_extinction_db: float = 30.0
-    pc_phase_phi0: float = 0.0
-    pc_misalignment_eps: float = 0.0
-    bs_insertion_loss_db: float = 3.0
-    attenuator_loss_db: float = 64.0
-    modulator_vpi: float = 4.0
-    modulator_insertion_loss_db: float = 3.0
+    pbs_extinction_db: float = ruled(30.0, Rule(">= 0 (inf: an ideal PBS)", lambda v: v >= 0))
+    pc_phase_phi0: float = ruled(0.0, FINITE)
+    pc_misalignment_eps: float = ruled(0.0, FINITE)
+    bs_insertion_loss_db: float = ruled(3.0, NONNEG)
+    attenuator_loss_db: float = ruled(64.0, NONNEG)
+    modulator_vpi: float = ruled(4.0, POSITIVE)
+    modulator_insertion_loss_db: float = ruled(3.0, NONNEG)
 
     def __post_init__(self):
-        for name in (
-            "pbs_extinction_db",
-            "bs_insertion_loss_db",
-            "attenuator_loss_db",
-            "modulator_insertion_loss_db",
-        ):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be >= 0 dB, got {getattr(self, name)}")
-        if self.modulator_vpi <= 0.0:
-            raise ConfigurationError(f"modulator_vpi must be positive, got {self.modulator_vpi}")
+        check_fields(self)
 
 
 def phase_from_voltage(volts: float, vpi: float) -> float:
     """Linear electro-optic response pi * volts / vpi, not wrapped."""
-    if vpi <= 0.0:
-        raise ConfigurationError(f"modulator vpi must be positive, got {vpi}")
+    POSITIVE.check("modulator vpi", vpi)
     return math.pi * volts / vpi
 
 

@@ -19,11 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .elements import ElementParams, db_to_power, phase_from_voltage
-from .errors import ConfigurationError
+from .errors import FINITE, NONNEG, POSITIVE, ConfigurationError, Rule, check_fields, one_of, ruled
 from .polarization import SQRT_HALF, JonesVector, TransferMatrix, transform
 from .waveform import (
-    MODE_FOUR_LEVEL,
+    DIRECTIONS,
     MODE_TWO_LEVEL,
+    MODES,
     PatternSpec,
     Waveform,
     pattern_for_state,
@@ -59,6 +60,9 @@ DRIFT_NONE = "none"
 DRIFT_LINEAR = "linear"
 DRIFT_SINUSOIDAL = "sinusoidal"
 
+# A group index below 1 would outrun light in vacuum.
+_GROUP_INDEX = Rule(">= 1 and finite", lambda v: 1.0 <= v < math.inf)
+
 
 @dataclass(frozen=True)
 class DriftProfile:
@@ -72,14 +76,13 @@ class DriftProfile:
     Times may be floats or numpy arrays.
     """
 
-    kind: str = DRIFT_NONE
-    amplitude_rad: float = 0.0
-    rate_rad_per_s: float = 0.0
-    period_s: float = 0.0
+    kind: str = ruled(DRIFT_NONE, one_of(DRIFT_NONE, DRIFT_LINEAR, DRIFT_SINUSOIDAL))
+    amplitude_rad: float = ruled(0.0, FINITE)
+    rate_rad_per_s: float = ruled(0.0, FINITE)
+    period_s: float = ruled(0.0, NONNEG)
 
     def __post_init__(self):
-        if self.kind not in (DRIFT_NONE, DRIFT_LINEAR, DRIFT_SINUSOIDAL):
-            raise ConfigurationError(f"unknown drift kind {self.kind!r}")
+        check_fields(self)
         if self.kind == DRIFT_SINUSOIDAL:
             if self.amplitude_rad < 0.0:
                 raise ConfigurationError(f"sinusoidal drift amplitude must be >= 0, got {self.amplitude_rad}")
@@ -130,32 +133,21 @@ class EncoderConfig:
     states (D) see only the first knob.
     """
 
-    delta_l_m: float = 1.0  # loop delay-line length
-    fiber_index: float = 1.45  # PM fiber group index
-    optical_fwhm_s: float = 1.2e-9  # laser pulse intensity FWHM
-    electrical_pulse_width_s: float = 3e-9
-    delay_granularity_s: float = 100e-12
-    encoding_mode: str = MODE_TWO_LEVEL
-    a_pulse_direction: str = "cw"
-    phase_jitter_sigma: float = 0.0  # rad
-    drive_jitter_sigma: float = 0.0  # rad
-    source_mean_photon_number: float = 1e7  # photons/pulse before losses
+    delta_l_m: float = ruled(1.0, NONNEG)  # loop delay-line length
+    fiber_index: float = ruled(1.45, _GROUP_INDEX)  # PM fiber group index
+    optical_fwhm_s: float = ruled(1.2e-9, POSITIVE)  # laser pulse intensity FWHM
+    electrical_pulse_width_s: float = ruled(3e-9, POSITIVE)
+    delay_granularity_s: float = ruled(100e-12, POSITIVE)
+    encoding_mode: str = ruled(MODE_TWO_LEVEL, MODES)
+    a_pulse_direction: str = ruled("cw", DIRECTIONS)
+    phase_jitter_sigma: float = ruled(0.0, NONNEG)  # rad
+    drive_jitter_sigma: float = ruled(0.0, NONNEG)  # rad
+    source_mean_photon_number: float = ruled(1e7, NONNEG)  # photons/pulse before losses
     elements: ElementParams = field(default_factory=ElementParams)
     drift: DriftProfile = field(default_factory=DriftProfile)
 
     def __post_init__(self):
-        if self.delta_l_m < 0.0:
-            raise ConfigurationError(f"delta_l_m must be >= 0, got {self.delta_l_m}")
-        if self.fiber_index < 1.0:
-            raise ConfigurationError(f"fiber_index must be >= 1, got {self.fiber_index}")
-        if self.optical_fwhm_s <= 0.0:
-            raise ConfigurationError(f"optical_fwhm_s must be positive, got {self.optical_fwhm_s}")
-        if self.phase_jitter_sigma < 0.0 or self.drive_jitter_sigma < 0.0:
-            raise ConfigurationError("jitter sigmas must be >= 0")
-        if self.source_mean_photon_number < 0.0:
-            raise ConfigurationError("source_mean_photon_number must be >= 0")
-        if self.encoding_mode not in (MODE_TWO_LEVEL, MODE_FOUR_LEVEL):
-            raise ConfigurationError(f"unknown encoding mode {self.encoding_mode!r}")
+        check_fields(self)
 
     @property
     def phi0(self) -> float:
@@ -201,10 +193,8 @@ def loop_transit_lead(delta_l_m: float, fiber_index: float) -> float:
     The extra length is traversed at the group velocity c/n, so the lead is
     n * delta_l / c.
     """
-    if delta_l_m < 0.0:
-        raise ConfigurationError(f"delta_l_m must be >= 0, got {delta_l_m}")
-    if fiber_index < 1.0:
-        raise ConfigurationError(f"fiber_index must be >= 1, got {fiber_index}")
+    NONNEG.check("delta_l_m", delta_l_m)
+    _GROUP_INDEX.check("fiber_index", fiber_index)
     return fiber_index * delta_l_m / SPEED_OF_LIGHT
 
 
@@ -245,8 +235,7 @@ def phases_from_waveform(
     Each rectangular drive segment contributes its phase weighted by the
     optical-profile mass it covers; the overlap integral is exact (erf).
     """
-    if optical_fwhm <= 0.0:
-        raise ConfigurationError(f"optical FWHM must be positive, got {optical_fwhm}")
+    POSITIVE.check("optical FWHM", optical_fwhm)
     sigma = optical_fwhm * FWHM_TO_SIGMA
     return _mean_phase(w, cw_arrival, vpi, sigma), _mean_phase(w, ccw_arrival, vpi, sigma)
 

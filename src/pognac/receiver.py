@@ -18,7 +18,7 @@ import numpy as np
 
 from .elements import make_hwp
 from .encoder import EmittedPulse
-from .errors import ConfigurationError
+from .errors import NONNEG, UNIT_INTERVAL, check_fields, one_of, ruled
 from .polarization import transform
 
 BASIS_HV = "HV"
@@ -34,6 +34,7 @@ OUTCOMES = (OUTCOME_CLICK_0, OUTCOME_CLICK_1, OUTCOME_DOUBLE, OUTCOME_NONE)
 
 POLICY_DISCARD = "discard"
 POLICY_RANDOM = "random"
+POLICIES = one_of(POLICY_DISCARD, POLICY_RANDOM)
 
 # Analyzer branches: HWP at 0 (HV) or pi/8 (DA) followed by an ideal PBS.
 # Branch 0 is the transmitted port (H after the plate), branch 1 the
@@ -50,24 +51,13 @@ class DetectorParams:
     them to a branch with a fair coin.
     """
 
-    efficiency: float = 0.5
-    dark_count_prob_per_gate: float = 1e-5
-    basis: str = BASIS_HV
-    double_click_policy: str = POLICY_DISCARD
+    efficiency: float = ruled(0.5, UNIT_INTERVAL)
+    dark_count_prob_per_gate: float = ruled(1e-5, UNIT_INTERVAL)
+    basis: str = ruled(BASIS_HV, one_of(BASIS_HV, BASIS_DA))
+    double_click_policy: str = ruled(POLICY_DISCARD, POLICIES)
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ConfigurationError(f"efficiency must be in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.dark_count_prob_per_gate <= 1.0:
-            raise ConfigurationError(
-                f"dark_count_prob_per_gate must be in [0, 1], got {self.dark_count_prob_per_gate}"
-            )
-        if self.basis not in (BASIS_HV, BASIS_DA):
-            raise ConfigurationError(f"basis must be HV or DA, got {self.basis!r}")
-        if self.double_click_policy not in (POLICY_DISCARD, POLICY_RANDOM):
-            raise ConfigurationError(
-                f"double_click_policy must be discard or random, got {self.double_click_policy!r}"
-            )
+        check_fields(self)
 
 
 class ClickProbabilities(NamedTuple):
@@ -93,8 +83,7 @@ def joint_probabilities(h_re, h_im, v_re, v_im, mu: float, params: DetectorParam
     outcomes are mutually exclusive and sum to one. Amplitudes may be
     floats or arrays.
     """
-    if mu < 0.0:
-        raise ConfigurationError(f"mean photon number must be >= 0, got {mu}")
+    NONNEG.check("mean photon number", mu)
     a0_re, a0_im, a1_re, a1_im = transform(_ANALYZER[params.basis], h_re, h_im, v_re, v_im)
     q0 = a0_re * a0_re + a0_im * a0_im
     q1 = a1_re * a1_re + a1_im * a1_im

@@ -36,9 +36,10 @@ from .encoder import (
     label_table,
     output_pc_mapping,
 )
-from .errors import ConfigurationError
+from .errors import POSITIVE, SEED, ConfigurationError, check_fields, one_of, ruled
 from .receiver import (
     OUTCOMES,
+    POLICIES,
     POLICY_DISCARD,
     POLICY_RANDOM,
     DetectorParams,
@@ -65,6 +66,7 @@ __all__ = [
 
 SEQUENCE_HVD = "hvd-pseudorandom"
 SEQUENCE_DA = "da-alternating"
+_SEQUENCE_MODES = one_of(SEQUENCE_HVD, SEQUENCE_DA)
 
 # Deterministic row order of receiver-frame labels in every output; a
 # label's position is its label code.
@@ -112,22 +114,15 @@ class RunConfig:
 
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     detector: DetectorParams = field(default_factory=DetectorParams)
-    repetition_rate_hz: float = 1e6
-    duration_s: float = 3.0
-    window_s: float = 3.0
-    sequence_mode: str = SEQUENCE_HVD
-    sequence_seed: int = 1
-    detection_seed: int = 2
+    repetition_rate_hz: float = ruled(1e6, POSITIVE)
+    duration_s: float = ruled(3.0, POSITIVE)
+    window_s: float = ruled(3.0, POSITIVE)
+    sequence_mode: str = ruled(SEQUENCE_HVD, _SEQUENCE_MODES)
+    sequence_seed: int = ruled(1, SEED)
+    detection_seed: int = ruled(2, SEED)
 
     def __post_init__(self):
-        for name in ("repetition_rate_hz", "window_s", "duration_s"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
-        if self.sequence_seed < 0 or self.detection_seed < 0:
-            raise ConfigurationError(
-                f"seeds must be >= 0, got {self.sequence_seed} and {self.detection_seed}"
-            )
+        check_fields(self)
         if self.duration_s < self.window_s:
             raise ConfigurationError(
                 f"duration {self.duration_s} s must cover at least one window of {self.window_s} s"
@@ -143,8 +138,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"duration_s / window_s asks for {last + 1:g} windows, more than the cap of {_MAX_WINDOWS}"
             )
-        if self.sequence_mode not in (SEQUENCE_HVD, SEQUENCE_DA):
-            raise ConfigurationError(f"unknown sequence mode {self.sequence_mode!r}")
 
     def n_pulses(self) -> int:
         return int(round(self.duration_s * self.repetition_rate_hz))
@@ -241,8 +234,8 @@ def _label_blocks(mode: str, n_pulses: int, seed):
     _BLOCK pulses (see generate_sequence)."""
     if n_pulses <= 0:
         raise ConfigurationError(f"n_pulses must be positive, got {n_pulses}")
-    if mode not in (SEQUENCE_HVD, SEQUENCE_DA):
-        raise ConfigurationError(f"unknown sequence mode {mode!r}")
+    _SEQUENCE_MODES.check("mode", mode)
+    SEED.check("seed", seed)
     rng = np.random.default_rng(seed) if mode == SEQUENCE_HVD else None
     for start in range(0, n_pulses, _BLOCK):
         stop = min(start + _BLOCK, n_pulses)
@@ -389,10 +382,9 @@ def sift_and_qber(
     stream is consumed in pulse-index order). Records must align with the
     sequence by pulse index. The counting is the run kernel's tally.
     """
-    if window_s <= 0.0 or repetition_rate_hz <= 0.0:
-        raise ConfigurationError("window and repetition rate must be positive")
-    if double_click_policy not in (POLICY_DISCARD, POLICY_RANDOM):
-        raise ConfigurationError(f"unknown double-click policy {double_click_policy!r}")
+    POSITIVE.check("window_s", window_s)
+    POSITIVE.check("repetition_rate_hz", repetition_rate_hz)
+    POLICIES.check("double_click_policy", double_click_policy)
 
     n = len(sequence)
     codes = np.array([label_code(s) for s in sequence], dtype=np.int8)

@@ -8,10 +8,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigurationError
+from .errors import FINITE, POSITIVE, ConfigurationError, check_fields, one_of, ruled
 
 MODE_TWO_LEVEL = "two-level"
 MODE_FOUR_LEVEL = "four-level"
+MODES = one_of(MODE_TWO_LEVEL, MODE_FOUR_LEVEL)
+DIRECTIONS = one_of("cw", "ccw")
 ENCODER_LABELS = ("D", "L", "R", "A")
 
 
@@ -32,8 +34,10 @@ class Waveform:
     def __post_init__(self):
         segs = tuple(sorted((Segment(*s) for s in self.segments), key=lambda s: s.start))
         for seg in segs:
-            if seg.duration <= 0.0:
-                raise ConfigurationError(f"segment durations must be positive, got {seg.duration}")
+            FINITE.check("segment start", seg.start)
+            POSITIVE.check("segment duration", seg.duration)
+            FINITE.check("segment level", seg.level)
+        FINITE.check("baseline", self.baseline)
         for prev, nxt in zip(segs, segs[1:]):
             if prev.start + prev.duration > nxt.start:
                 raise ConfigurationError(
@@ -51,22 +55,13 @@ class PatternSpec:
     the A state in two-level mode (either works; CW is the default).
     """
 
-    pulse_width: float = 3e-9  # s
-    delay_granularity: float = 100e-12  # s
-    mode: str = MODE_TWO_LEVEL
-    a_pulse_direction: str = "cw"
+    pulse_width: float = ruled(3e-9, POSITIVE)  # s
+    delay_granularity: float = ruled(100e-12, POSITIVE)  # s
+    mode: str = ruled(MODE_TWO_LEVEL, MODES)
+    a_pulse_direction: str = ruled("cw", DIRECTIONS)
 
     def __post_init__(self):
-        if self.pulse_width <= 0.0:
-            raise ConfigurationError(f"pulse_width must be positive, got {self.pulse_width}")
-        if self.delay_granularity <= 0.0:
-            raise ConfigurationError(
-                f"delay_granularity must be positive, got {self.delay_granularity}"
-            )
-        if self.mode not in (MODE_TWO_LEVEL, MODE_FOUR_LEVEL):
-            raise ConfigurationError(f"unknown encoding mode {self.mode!r}")
-        if self.a_pulse_direction not in ("cw", "ccw"):
-            raise ConfigurationError(f"a_pulse_direction must be cw or ccw, got {self.a_pulse_direction!r}")
+        check_fields(self)
 
 
 def quantize_delay(requested: float, granularity: float) -> float:
@@ -74,8 +69,7 @@ def quantize_delay(requested: float, granularity: float) -> float:
 
     Exact half-step ties round toward zero. Idempotent.
     """
-    if granularity <= 0.0:
-        raise ConfigurationError(f"granularity must be positive, got {granularity}")
+    POSITIVE.check("granularity", granularity)
     steps = abs(requested) / granularity
     if not math.isfinite(steps):
         raise ConfigurationError(f"delay {requested} s is not a finite number of {granularity} s steps")
@@ -106,8 +100,7 @@ def pattern_for_state(
     """
     if state not in ENCODER_LABELS:
         raise ConfigurationError(f"unknown state label {state!r}; expected one of {ENCODER_LABELS}")
-    if vpi <= 0.0:
-        raise ConfigurationError(f"vpi must be positive, got {vpi}")
+    POSITIVE.check("vpi", vpi)
     gap = abs(cw_arrival - ccw_arrival)
     if not gap > spec.pulse_width:
         raise ConfigurationError(

@@ -161,6 +161,7 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
         ("vpi_volts = inf", "vpi_volts must be positive and finite"),
         ("drift_rate_rad_per_s = inf", "drift_rate_rad_per_s must be finite"),
         ("phi0_rad = -inf", "phi0_rad must be finite"),
+        ("fiber_index = 0.5", "fiber_index must be >= 1"),
     ],
 )
 def test_run_rejects_unrunnable_values_with_line_number(tmp_path, capsys, line, message):
@@ -315,7 +316,7 @@ def test_fuzzed_config_exits_0_2_or_3_without_traceback(lines, odd, random):
 def test_negative_seed_override_exits_2(tmp_path, capsys):
     status = run(CliInvocation(scenario="fig4", seed_override=-1, output_path=str(tmp_path / "o.csv")))
     assert status == 2
-    assert "seeds must be >= 0" in capsys.readouterr().err
+    assert "sequence_seed must be >= 0" in capsys.readouterr().err
 
 
 def test_python_m_pognac_help():

@@ -1,0 +1,71 @@
+import math
+from dataclasses import fields, is_dataclass
+
+import pytest
+
+from pognac.elements import ElementParams, phase_from_voltage
+from pognac.encoder import DriftProfile, EncoderConfig, loop_transit_lead, phases_from_waveform
+from pognac.errors import ConfigurationError
+from pognac.polarization import H
+from pognac.receiver import DetectorParams, click_probabilities
+from pognac.runner import SEQUENCE_HVD, RunConfig, generate_sequence, sift_and_qber
+from pognac.waveform import PatternSpec, Waveform, pattern_for_state, quantize_delay
+
+NAN, INF = math.nan, math.inf
+_CONFIG_CLASSES = (RunConfig, EncoderConfig, ElementParams, DriftProfile, DetectorParams, PatternSpec)
+
+
+def _leaf_fields(obj):
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaf_fields(value)
+        else:
+            yield f
+
+
+def test_non_finite_config_values_are_rejected_at_construction():
+    leaves = list(_leaf_fields(RunConfig()))
+    assert len(leaves) == 31
+    assert [f.name for f in leaves if "rule" not in f.metadata] == []
+
+    checked = 0
+    for cls in _CONFIG_CLASSES:
+        for f in fields(cls):
+            if not isinstance(f.default, float):
+                continue
+            for value in (NAN, INF, -INF):
+                if (f.name, value) == ("pbs_extinction_db", INF):  # an ideal PBS
+                    assert cls(pbs_extinction_db=INF).pbs_extinction_db == INF
+                    continue
+                with pytest.raises(ConfigurationError, match=f"^{f.name} must be "):
+                    cls(**{f.name: value})
+                checked += 1
+    # 23 float leaves of RunConfig plus PatternSpec's two, three values each,
+    # less the ideal PBS
+    assert checked == 3 * 25 - 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: click_probabilities(H, NAN, DetectorParams()), "mean photon number", id="mu"),
+        pytest.param(lambda: loop_transit_lead(NAN, 1.45), "delta_l_m", id="lead-length"),
+        pytest.param(lambda: loop_transit_lead(1.0, NAN), "fiber_index", id="lead-index"),
+        pytest.param(lambda: loop_transit_lead(1.0, 0.5), "fiber_index", id="lead-index-below-1"),
+        pytest.param(lambda: phase_from_voltage(1.0, NAN), "modulator vpi", id="vpi"),
+        pytest.param(lambda: phases_from_waveform(Waveform(), 0.0, 5e-9, 4.0, NAN), "optical FWHM", id="fwhm"),
+        pytest.param(lambda: Waveform(((NAN, 1e-9, 1.0),)), "segment start", id="segment-start"),
+        pytest.param(lambda: Waveform(((0.0, NAN, 1.0),)), "segment duration", id="segment-duration"),
+        pytest.param(lambda: Waveform(((0.0, 1e-9, INF),)), "segment level", id="segment-level"),
+        pytest.param(lambda: Waveform(baseline=NAN), "baseline", id="baseline"),
+        pytest.param(lambda: quantize_delay(1e-9, INF), "granularity", id="granularity"),
+        pytest.param(lambda: pattern_for_state("L", PatternSpec(), 0.0, 5e-9, NAN), "vpi", id="pattern-vpi"),
+        pytest.param(lambda: sift_and_qber([], ["D", "A"], NAN, 2.0), "window_s", id="window"),
+        pytest.param(lambda: sift_and_qber([], ["D", "A"], 1.0, INF), "repetition_rate_hz", id="rate"),
+        pytest.param(lambda: generate_sequence(SEQUENCE_HVD, 4, -1), "seed", id="seed"),
+    ],
+)
+def test_entry_points_reject_out_of_range_values(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{message} must be "):
+        call()

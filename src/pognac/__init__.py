@@ -13,18 +13,13 @@ from .encoder import (
     EncoderConfig,
     emit_pulse,
     encode,
-    encode_with_drift,
-    inline_encoder_reference,
     loop_transit_lead,
-    output_pc_mapping,
     phases_from_waveform,
 )
 from .errors import ConfigFileError, ConfigurationError
 from .polarization import (
-    ABSORBED,
     JonesVector,
     TransferMatrix,
-    apply,
     fidelity,
     normalize,
 )

@@ -83,10 +83,10 @@ _KEY_TABLE = {
     "phi0_rad": _Key("encoder.elements.pc_phase_phi0"),
     "vpi_volts": _Key("encoder.elements.modulator_vpi"),
     "optical_fwhm_ns": _Key("encoder.optical_fwhm_s", -9),
-    "electrical_pulse_width_ns": _Key("encoder.electrical_pulse_width_s", -9),
-    "delay_granularity_ps": _Key("encoder.delay_granularity_s", -12),
-    "encoding_mode": _Key("encoder.encoding_mode"),
-    "a_pulse_direction": _Key("encoder.a_pulse_direction"),
+    "electrical_pulse_width_ns": _Key("encoder.drive.pulse_width", -9),
+    "delay_granularity_ps": _Key("encoder.drive.delay_granularity", -12),
+    "encoding_mode": _Key("encoder.drive.mode"),
+    "a_pulse_direction": _Key("encoder.drive.a_pulse_direction"),
     "phase_jitter_sigma_rad": _Key("encoder.phase_jitter_sigma"),
     "drive_jitter_sigma_rad": _Key("encoder.drive_jitter_sigma"),
     "pc_misalignment_eps_rad": _Key("encoder.elements.pc_misalignment_eps"),

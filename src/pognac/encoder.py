@@ -21,14 +21,7 @@ import numpy as np
 from .elements import ElementParams, db_to_power, phase_from_voltage
 from .errors import FINITE, NONNEG, POSITIVE, ConfigurationError, Rule, check_fields, one_of, ruled
 from .polarization import SQRT_HALF, JonesVector, TransferMatrix, transform
-from .waveform import (
-    DIRECTIONS,
-    MODE_TWO_LEVEL,
-    MODES,
-    PatternSpec,
-    Waveform,
-    pattern_for_state,
-)
+from .waveform import LABEL_CODES, PatternSpec, Waveform, label_code, pattern_for_state
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -46,11 +39,6 @@ _TRUNC_NORM = math.erf(GAUSS_TRUNCATION_SIGMA / math.sqrt(2.0))
 # Receiver-frame names of the encoder-frame labels after the output
 # polarization controller.
 POST_PC_LABEL = {"D": "D", "L": "H", "R": "V", "A": "A"}
-
-# Encoder-frame label of each int8 label code. Code c is also the c-th
-# receiver-frame label in row order (H, V, D, A) and the c-th draw of the
-# hvd-pseudorandom generator (L, R, D).
-LABEL_CODES = ("L", "R", "D", "A")
 
 # Encoder-frame phase difference phi_e - phi_l that nominally produces each
 # label (phi0 = 0 frame).
@@ -114,10 +102,6 @@ class DriftProfile:
         return DriftProfile(DRIFT_LINEAR, amplitude_rad=offset_rad)
 
     @staticmethod
-    def linear(rate_rad_per_s: float, offset_rad: float = 0.0) -> "DriftProfile":
-        return DriftProfile(DRIFT_LINEAR, amplitude_rad=offset_rad, rate_rad_per_s=rate_rad_per_s)
-
-    @staticmethod
     def sinusoidal(amplitude_rad: float, period_s: float) -> "DriftProfile":
         return DriftProfile(DRIFT_SINUSOIDAL, amplitude_rad=amplitude_rad, period_s=period_s)
 
@@ -130,16 +114,14 @@ class EncoderConfig:
     pulse (residual electrical/interferometric noise); drive_jitter_sigma
     adds in quadrature on pulses that carry an electrical drive pulse,
     standing in for generator amplitude/shape imperfections. Undriven
-    states (D) see only the first knob.
+    states (D) see only the first knob. ``drive`` is the timing grid of the
+    drive electronics.
     """
 
     delta_l_m: float = ruled(1.0, NONNEG)  # loop delay-line length
     fiber_index: float = ruled(1.45, _GROUP_INDEX)  # PM fiber group index
     optical_fwhm_s: float = ruled(1.2e-9, POSITIVE)  # laser pulse intensity FWHM
-    electrical_pulse_width_s: float = ruled(3e-9, POSITIVE)
-    delay_granularity_s: float = ruled(100e-12, POSITIVE)
-    encoding_mode: str = ruled(MODE_TWO_LEVEL, MODES)
-    a_pulse_direction: str = ruled("cw", DIRECTIONS)
+    drive: PatternSpec = field(default_factory=PatternSpec)
     phase_jitter_sigma: float = ruled(0.0, NONNEG)  # rad
     drive_jitter_sigma: float = ruled(0.0, NONNEG)  # rad
     source_mean_photon_number: float = ruled(1e7, NONNEG)  # photons/pulse before losses
@@ -156,14 +138,6 @@ class EncoderConfig:
     @property
     def vpi(self) -> float:
         return self.elements.modulator_vpi
-
-    def pattern_spec(self) -> PatternSpec:
-        return PatternSpec(
-            pulse_width=self.electrical_pulse_width_s,
-            delay_granularity=self.delay_granularity_s,
-            mode=self.encoding_mode,
-            a_pulse_direction=self.a_pulse_direction,
-        )
 
     def mean_photon_out(self) -> float:
         """Mean photon number after both splitter passes, the modulator
@@ -249,40 +223,14 @@ def encode(phi_e: float, phi_l: float, phi0: float) -> JonesVector:
     return JonesVector(SQRT_HALF + 0j, cmath.exp(1j * (phi_e - phi_l - phi0)) * SQRT_HALF)
 
 
-def encode_with_drift(
-    phi_e: float,
-    phi_l: float,
-    phi0: float,
-    drift: DriftProfile,
-    cw_time: float,
-    ccw_time: float,
-) -> JonesVector:
-    """encode() with the loop drift sampled at each direction's modulator
-    transit time; only theta(cw) - theta(ccw) survives."""
-    return encode(phi_e + drift.theta_diff(cw_time, ccw_time), phi_l, phi0)
-
-
-def inline_encoder_reference(phi_applied: float, drift: DriftProfile, t: float) -> JonesVector:
-    """Single-pass modulator baseline: the drift adds straight onto the
-    applied phase, (|H> + e^{i(phi_applied + theta(t))} |V>)/sqrt(2)."""
-    return encode(phi_applied + drift.theta(t), 0.0, 0.0)
-
-
 _EXP_P = cmath.exp(0.25j * math.pi)
 _EXP_M = cmath.exp(-0.25j * math.pi)
-_OUTPUT_PC = TransferMatrix(
+# Receiver-frame alignment unitary of the output controller: |L> -> |H>,
+# |R> -> |V>, |D> -> |D> (and so |A> -> |A>). The -pi/2 phase offset between
+# the two mapped axes is forced by the |D> condition.
+OUTPUT_PC = TransferMatrix(
     np.array([[_EXP_P, _EXP_M], [_EXP_M, _EXP_P]], dtype=complex) * SQRT_HALF
 )
-
-
-def output_pc_mapping() -> TransferMatrix:
-    """Receiver-frame alignment unitary: |L> -> |H>, |R> -> |V>, |D> -> |D>
-    (and so |A> -> |A>).
-
-    The -pi/2 phase offset between the two mapped axes is forced by the |D>
-    condition.
-    """
-    return _OUTPUT_PC
 
 
 class LabelTable(NamedTuple):
@@ -307,10 +255,9 @@ def label_table(config: EncoderConfig) -> LabelTable:
     jitter in quadrature.
     """
     lead = loop_transit_lead(config.delta_l_m, config.fiber_index)
-    spec = config.pattern_spec()
     rows = []
     for label in LABEL_CODES:
-        w = pattern_for_state(label, spec, 0.0, lead, config.vpi)
+        w = pattern_for_state(label, config.drive, 0.0, lead, config.vpi)
         phi_e, phi_l = phases_from_waveform(w, 0.0, lead, config.vpi, config.optical_fwhm_s)
         sigma = config.phase_jitter_sigma
         if w.segments:
@@ -328,11 +275,14 @@ def emit_batch(codes, t, normals, config: EncoderConfig, inline: bool = False):
 
     ``normals`` holds one standard normal draw per pulse; sigma * z is how
     numpy's own normal(0, sigma) scales it, so a stream drawn here matches
-    one drawn pulse by pulse. The chain is that of the scalar building
-    blocks: encode_with_drift (or, with ``inline``, inline_encoder_reference,
-    where the drift adds straight onto the applied phase) -> output
-    controller -> normalization, in the same operation order. Arguments may
-    be arrays or scalars.
+    one drawn pulse by pulse. The chain is encode() with the loop drift
+    sampled at each direction's modulator transit, so only theta(cw) -
+    theta(ccw) survives (or, with ``inline``, a single-pass modulator whose
+    drift theta(t) adds straight onto the applied phase) -> output
+    controller -> normalization. tests/jones_oracles.py spells the same
+    chain pulse by pulse with Jones vectors, in the same operation order,
+    and the kernel must match it bit for bit. Arguments may be arrays or
+    scalars.
     """
     table = label_table(config)
     phi0 = config.phi0 + config.elements.pc_misalignment_eps
@@ -343,17 +293,9 @@ def emit_batch(codes, t, normals, config: EncoderConfig, inline: bool = False):
         lead = loop_transit_lead(config.delta_l_m, config.fiber_index)
         x = x + config.drift.theta_diff(t, t + lead) - table.phi_l[codes] - phi0
     loop_v_re, loop_v_im = np.cos(x) * SQRT_HALF, np.sin(x) * SQRT_HALF
-    h_re, h_im, v_re, v_im = transform(_OUTPUT_PC, SQRT_HALF, 0.0, loop_v_re, loop_v_im)
+    h_re, h_im, v_re, v_im = transform(OUTPUT_PC, SQRT_HALF, 0.0, loop_v_re, loop_v_im)
     n = np.sqrt((h_re * h_re + h_im * h_im) + (v_re * v_re + v_im * v_im))
     return h_re / n, h_im / n, v_re / n, v_im / n
-
-
-def label_code(label: str) -> int:
-    """int8 code of an encoder-frame label."""
-    try:
-        return LABEL_CODES.index(label)
-    except ValueError:
-        raise ConfigurationError(f"unknown state label {label!r}; expected one of {LABEL_CODES}") from None
 
 
 def emit_pulse(label: str, t: float, config: EncoderConfig, rng_seed) -> EmittedPulse:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +38,6 @@ A = JonesVector(SQRT_HALF + 0j, -SQRT_HALF + 0j)
 L = JonesVector(SQRT_HALF + 0j, SQRT_HALF * 1j)
 R = JonesVector(SQRT_HALF + 0j, -SQRT_HALF * 1j)
 
-# Sentinel returned by apply() when an element extinguishes the state
-# completely; identity-check it, never normalize it.
-ABSORBED = JonesVector(0j, 0j)
-
 
 def normalize(v: JonesVector) -> JonesVector:
     """Unit-norm copy of ``v``; direction preserved.
@@ -65,8 +60,7 @@ class TransferMatrix:
     """2x2 complex amplitude transfer in the {H, V} basis.
 
     Unitary for lossless elements; singular values stay <= 1 for passive
-    lossy ones. Compose left-to-right in propagation order with ``@``
-    (last element leftmost, as in matrix algebra).
+    lossy ones.
     """
 
     m: np.ndarray
@@ -77,21 +71,6 @@ class TransferMatrix:
             raise ValueError(f"transfer matrix must be 2x2, got shape {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(self.m @ other.m)
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.m.conj().T @ self.m - np.eye(2))) <= tol)
-
-    @staticmethod
-    def identity() -> "TransferMatrix":
-        return TransferMatrix(np.eye(2, dtype=complex))
-
-
-class ApplyResult(NamedTuple):
-    state: JonesVector
-    survival: float
 
 
 def transform(e: TransferMatrix, h_re, h_im, v_re, v_im):
@@ -109,17 +88,3 @@ def transform(e: TransferMatrix, h_re, h_im, v_re, v_im):
         (c.real * h_re - c.imag * h_im) + (d.real * v_re - d.imag * v_im),
         (c.real * h_im + c.imag * h_re) + (d.real * v_im + d.imag * v_re),
     )
-
-
-def apply(e: TransferMatrix, v: JonesVector) -> ApplyResult:
-    """Propagate ``v`` through ``e``.
-
-    Returns the normalized output state and the power survival probability
-    |e v|^2. A fully extinguished input comes back as (ABSORBED, 0.0).
-    """
-    h_re, h_im, v_re, v_im = transform(e, v.h.real, v.h.imag, v.v.real, v.v.imag)
-    p = (h_re * h_re + h_im * h_im) + (v_re * v_re + v_im * v_im)
-    if p == 0.0:
-        return ApplyResult(ABSORBED, 0.0)
-    n = math.sqrt(p)
-    return ApplyResult(JonesVector(complex(h_re / n, h_im / n), complex(v_re / n, v_im / n)), p)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .encoder import DriftProfile, EncoderConfig, label_table
 from .errors import ConfigurationError
-from .receiver import BASIS_DA, BASIS_HV, DetectorParams
+from .receiver import BASIS_DA, BASIS_HV, POLICIES, POLICY_DISCARD, POLICY_RANDOM, DetectorParams
 from .runner import LABEL_ORDER, SEQUENCE_DA, SEQUENCE_HVD, RunConfig
 
 # Solved jitter calibration, radians (see module docstring).
@@ -50,16 +50,21 @@ def expected_qber(
     jitter_sigma: float,
     phase_offset: float = 0.0,
     n_nodes: int = 81,
+    policy: str = POLICY_DISCARD,
 ) -> float:
     """Analytic mean sifted QBER of a state measured in its own basis.
 
     The per-pulse phase error is e = delta + phase_offset with
     delta ~ N(0, jitter_sigma); the analyzer branch powers are sin^2(e/2)
     and cos^2(e/2); detectors click independently with marginal
-    1 - (1 - dark) exp(-mu * efficiency * q); double clicks are excluded,
-    so the expectation is the ratio of the exclusive error and correct
-    click masses. Gauss-Hermite quadrature over the jitter distribution.
+    1 - (1 - dark) exp(-mu * efficiency * q). Under the discard policy
+    double clicks are excluded, so the expectation is the ratio of the
+    exclusive error and correct click masses; under the random policy a
+    fair coin gives half of the double-click mass d to each branch:
+    (m_err + d/2) / (m_err + m_corr + d). Gauss-Hermite quadrature over
+    the jitter distribution.
     """
+    POLICIES.check("double_click_policy", policy)
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
     weights = weights / math.sqrt(2.0 * math.pi)  # normalize to a probability measure
     e = jitter_sigma * nodes + phase_offset
@@ -71,6 +76,9 @@ def expected_qber(
     p_corr = 1.0 - keep * np.exp(-gain * q_corr)
     mass_err = float(np.sum(weights * p_err * (1.0 - p_corr)))
     mass_corr = float(np.sum(weights * p_corr * (1.0 - p_err)))
+    if policy == POLICY_RANDOM:
+        double = float(np.sum(weights * p_err * p_corr))
+        return (mass_err + double / 2.0) / (mass_err + mass_corr + double)
     return mass_err / (mass_err + mass_corr)
 
 
@@ -86,6 +94,7 @@ def preset_expected_qber(config: RunConfig, sent_label: str) -> float:
         config.detector.dark_count_prob_per_gate,
         float(table.sigma[LABEL_ORDER.index(sent_label)]),
         phase_offset=config.encoder.elements.pc_misalignment_eps,
+        policy=config.detector.double_click_policy,
     )
 
 

@@ -26,16 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import (
-    LABEL_CODES,
-    POST_PC_LABEL,
-    DriftProfile,
-    EncoderConfig,
-    emit_batch,
-    label_code,
-    label_table,
-    output_pc_mapping,
-)
+from .encoder import POST_PC_LABEL, DriftProfile, EncoderConfig, emit_batch, label_table
 from .errors import POSITIVE, SEED, ConfigurationError, check_fields, one_of, ruled
 from .receiver import (
     OUTCOMES,
@@ -46,23 +37,7 @@ from .receiver import (
     joint_probabilities,
     sample_outcomes,
 )
-
-__all__ = [
-    "RunConfig",
-    "QberSeries",
-    "WindowRow",
-    "LabelStats",
-    "RunResult",
-    "DriftComparisonResult",
-    "output_pc_mapping",
-    "generate_sequence",
-    "sift_and_qber",
-    "run_experiment",
-    "drift_comparison",
-    "SEQUENCE_HVD",
-    "SEQUENCE_DA",
-    "LABEL_ORDER",
-]
+from .waveform import LABEL_CODES, label_code
 
 SEQUENCE_HVD = "hvd-pseudorandom"
 SEQUENCE_DA = "da-alternating"

@@ -14,7 +14,19 @@ MODE_TWO_LEVEL = "two-level"
 MODE_FOUR_LEVEL = "four-level"
 MODES = one_of(MODE_TWO_LEVEL, MODE_FOUR_LEVEL)
 DIRECTIONS = one_of("cw", "ccw")
-ENCODER_LABELS = ("D", "L", "R", "A")
+
+# Encoder-frame label of each int8 label code. Code c is also the c-th
+# receiver-frame label in row order (H, V, D, A) and the c-th draw of the
+# hvd-pseudorandom generator (L, R, D).
+LABEL_CODES = ("L", "R", "D", "A")
+
+
+def label_code(label: str) -> int:
+    """int8 code of an encoder-frame label."""
+    try:
+        return LABEL_CODES.index(label)
+    except ValueError:
+        raise ConfigurationError(f"unknown state label {label!r}; expected one of {LABEL_CODES}") from None
 
 
 class Segment(NamedTuple):
@@ -98,8 +110,7 @@ def pattern_for_state(
     snapped to the delay granularity. The two transits must be separated by
     more than one pulse width so a pulse can address exactly one of them.
     """
-    if state not in ENCODER_LABELS:
-        raise ConfigurationError(f"unknown state label {state!r}; expected one of {ENCODER_LABELS}")
+    label_code(state)  # rejects an unknown label
     POSITIVE.check("vpi", vpi)
     gap = abs(cw_arrival - ccw_arrival)
     if not gap > spec.pulse_width:

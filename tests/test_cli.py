@@ -37,7 +37,7 @@ def test_parse_sets_delay_line_length():
 def test_parse_scaled_units():
     cfg = parse_config("optical_fwhm_ns = 1.2\ndelay_granularity_ps = 100\n")
     assert cfg.encoder.optical_fwhm_s == pytest.approx(1.2e-9, rel=1e-15)
-    assert cfg.encoder.delay_granularity_s == pytest.approx(1e-10, rel=1e-15)
+    assert cfg.encoder.drive.delay_granularity == pytest.approx(1e-10, rel=1e-15)
 
 
 def test_parse_rejects_negative_vpi_with_line_number():

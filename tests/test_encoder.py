@@ -11,20 +11,18 @@ from pognac.encoder import (
     FWHM_TO_SIGMA,
     GAUSS_TRUNCATION_SIGMA,
     NOMINAL_PHASE,
+    OUTPUT_PC,
     POST_PC_LABEL,
     SPEED_OF_LIGHT,
     DriftProfile,
     EncoderConfig,
     emit_pulse,
     encode,
-    encode_with_drift,
-    inline_encoder_reference,
     loop_transit_lead,
-    output_pc_mapping,
     phases_from_waveform,
 )
 from pognac.errors import ConfigurationError
-from pognac.polarization import A, D, H, JonesVector, L, R, V, apply, fidelity, normalize
+from pognac.polarization import A, D, H, JonesVector, L, R, V, fidelity, normalize
 from pognac.waveform import (
     MODE_FOUR_LEVEL,
     MODE_TWO_LEVEL,
@@ -33,6 +31,8 @@ from pognac.waveform import (
     Waveform,
     pattern_for_state,
 )
+
+from jones_oracles import apply, encode_with_drift, inline_encoder_reference, is_unitary
 
 NS = 1e-9
 
@@ -175,7 +175,7 @@ def test_constant_drift_cancels_bitwise():
 
 
 def test_linear_drift_residual_is_lead_times_rate():
-    drift = DriftProfile.linear(1e-3)
+    drift = DriftProfile("linear", rate_rad_per_s=1e-3)
     lead = loop_transit_lead(1.0, 1.45)
     drifted = encode_with_drift(0.0, 0.0, 0.0, drift, 50.0, 50.0 + lead)
     # residual phase rate * lead ~ 4.8e-12 rad
@@ -214,7 +214,7 @@ def test_inline_linear_drift_time_average():
     expected = float(np.trapezoid(np.sin(rate * ts / 2.0) ** 2, ts) / horizon)
     assert expected == pytest.approx(0.5233, abs=1e-3)
 
-    drift = DriftProfile.linear(rate)
+    drift = DriftProfile("linear", rate_rad_per_s=rate)
     errors = [
         1.0 - fidelity(inline_encoder_reference(0.0, drift, float(t)), D)
         for t in np.linspace(0.0, horizon, 4001)
@@ -232,8 +232,8 @@ def test_drift_profile_validation():
 
 
 def test_output_pc_mapping():
-    u = output_pc_mapping()
-    assert u.is_unitary(1e-12)
+    u = OUTPUT_PC
+    assert is_unitary(u)
     assert fidelity(apply(u, L).state, H) == pytest.approx(1.0, abs=1e-12)
     assert fidelity(apply(u, R).state, V) == pytest.approx(1.0, abs=1e-12)
     assert fidelity(apply(u, D).state, D) == pytest.approx(1.0, abs=1e-12)
@@ -331,4 +331,4 @@ def test_encoder_config_validation():
     with pytest.raises(ConfigurationError):
         EncoderConfig(phase_jitter_sigma=-0.1)
     with pytest.raises(ConfigurationError):
-        EncoderConfig(encoding_mode="five-level")
+        EncoderConfig(drive=PatternSpec(mode="five-level"))

@@ -7,6 +7,7 @@ from pognac.elements import ElementParams, phase_from_voltage
 from pognac.encoder import DriftProfile, EncoderConfig, loop_transit_lead, phases_from_waveform
 from pognac.errors import ConfigurationError
 from pognac.polarization import H
+from pognac.presets import expected_qber
 from pognac.receiver import DetectorParams, click_probabilities
 from pognac.runner import SEQUENCE_HVD, RunConfig, generate_sequence, sift_and_qber
 from pognac.waveform import PatternSpec, Waveform, pattern_for_state, quantize_delay
@@ -41,9 +42,9 @@ def test_non_finite_config_values_are_rejected_at_construction():
                 with pytest.raises(ConfigurationError, match=f"^{f.name} must be "):
                     cls(**{f.name: value})
                 checked += 1
-    # 23 float leaves of RunConfig plus PatternSpec's two, three values each,
-    # less the ideal PBS
-    assert checked == 3 * 25 - 1
+    # the 23 float leaves of RunConfig (PatternSpec's two among them, as
+    # EncoderConfig.drive), three values each, less the ideal PBS
+    assert checked == 3 * 23 - 1
 
 
 @pytest.mark.parametrize(
@@ -64,6 +65,7 @@ def test_non_finite_config_values_are_rejected_at_construction():
         pytest.param(lambda: sift_and_qber([], ["D", "A"], NAN, 2.0), "window_s", id="window"),
         pytest.param(lambda: sift_and_qber([], ["D", "A"], 1.0, INF), "repetition_rate_hz", id="rate"),
         pytest.param(lambda: generate_sequence(SEQUENCE_HVD, 4, -1), "seed", id="seed"),
+        pytest.param(lambda: expected_qber(1.0, 0.5, 0.0, 0.1, policy="coin"), "double_click_policy", id="policy"),
     ],
 )
 def test_entry_points_reject_out_of_range_values(call, message):

@@ -8,20 +8,18 @@ import pytest
 from pognac import runner
 from pognac.elements import ElementParams
 from pognac.encoder import (
-    LABEL_CODES,
+    OUTPUT_PC,
     POST_PC_LABEL,
     DriftProfile,
     EmittedPulse,
     EncoderConfig,
     emit_batch,
     emit_pulse,
-    encode_with_drift,
-    inline_encoder_reference,
     loop_transit_lead,
     phases_from_waveform,
 )
 from pognac.errors import ConfigurationError
-from pognac.polarization import apply, fidelity
+from pognac.polarization import fidelity
 from pognac.presets import drift_config
 from pognac.receiver import (
     BASIS_DA,
@@ -37,11 +35,12 @@ from pognac.runner import (
     RunConfig,
     drift_comparison,
     generate_sequence,
-    output_pc_mapping,
     run_experiment,
     sift_and_qber,
 )
-from pognac.waveform import pattern_for_state
+from pognac.waveform import LABEL_CODES, pattern_for_state
+
+from jones_oracles import apply, encode_with_drift, inline_encoder_reference
 
 
 def quiet_config(**kw):
@@ -83,10 +82,6 @@ def test_generate_sequence_uniform():
 def test_generate_sequence_rejects_empty():
     with pytest.raises(ConfigurationError):
         generate_sequence(SEQUENCE_HVD, 0, 1)
-
-
-def test_output_pc_mapping_exported():
-    assert output_pc_mapping().is_unitary(1e-12)
 
 
 def test_sift_ideal_d_in_da():
@@ -234,7 +229,7 @@ def test_linear_drift_hits_only_the_inline_reference():
         detection_seed=21,
     )
     baseline = run_experiment(config)
-    paired = drift_comparison(config, DriftProfile.linear(0.05))
+    paired = drift_comparison(config, DriftProfile("linear", rate_rad_per_s=0.05))
     assert paired.pognac.series == baseline.series
 
     # theta sweeps 0..3 rad: time-averaged error probability
@@ -344,7 +339,7 @@ def scalar_emitter(enc, inline):
     phi0 = enc.phi0 + enc.elements.pc_misalignment_eps
     drive = {}
     for label in ("D", "L", "R", "A"):
-        w = pattern_for_state(label, enc.pattern_spec(), 0.0, lead, enc.vpi)
+        w = pattern_for_state(label, enc.drive, 0.0, lead, enc.vpi)
         sigma = enc.phase_jitter_sigma
         if w.segments:
             sigma = math.hypot(sigma, enc.drive_jitter_sigma)
@@ -357,7 +352,7 @@ def scalar_emitter(enc, inline):
             state = inline_encoder_reference((phi_e + delta) - phi_l - phi0, enc.drift, t)
         else:
             state = encode_with_drift(phi_e + delta, phi_l, phi0, enc.drift, t, t + lead)
-        out = apply(output_pc_mapping(), state).state
+        out = apply(OUTPUT_PC, state).state
         return EmittedPulse(t, out, enc.mean_photon_out(), label, POST_PC_LABEL[label])
 
     return emit

@@ -12,8 +12,9 @@ window draws its emission and detection randomness from streams seeded
 identically to np.random.default_rng((detection_seed, window, 0|1)), and
 the coins that assign double clicks under the random policy come from one
 run-wide generator; every stream is consumed in pulse order. The window
-streams' PCG64 states are computed for a batch of windows at once
-(_window_streams) and loaded into one reused generator per role.
+streams' seed words are computed 1024 windows at a time (_window_streams),
+and each window that holds pulses gets its own Generator(PCG64) per role,
+built from them.
 """
 
 from __future__ import annotations
@@ -130,9 +131,13 @@ class WindowRow:
 
     @property
     def qber(self) -> float:
-        """error/(correct+error); nan flags an empty cell, never silent 0."""
-        n = self.n_correct + self.n_error
-        return self.n_error / n if n else math.nan
+        return _qber(self.n_correct, self.n_error)
+
+
+def _qber(n_correct: int, n_error: int) -> float:
+    """error/(correct+error); nan flags an empty cell, never silent 0."""
+    n = n_correct + n_error
+    return n_error / n if n else math.nan
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,39 +154,48 @@ class LabelStats:
 
 @dataclass(frozen=True)
 class QberSeries:
-    """Windowed QBER time series plus run-level per-label statistics."""
+    """Windowed QBER time series plus run-level per-label statistics.
 
-    rows: tuple[WindowRow, ...]
+    The sifted counts are columns indexed [window][i] for the sent label
+    labels[i]: correct, error and discarded (double clicks the discard
+    policy dropped). Window w starts at w * window_s.
+    """
+
     labels: tuple[str, ...]
     window_s: float
+    correct: tuple[tuple[int, ...], ...]
+    error: tuple[tuple[int, ...], ...]
+    discarded: tuple[tuple[int, ...], ...]
     # Per window: pulses ending in each outcome of OUTCOMES (click_0,
     # click_1, double, none), whatever their label.
     outcome_counts: tuple[tuple[int, int, int, int], ...]
 
+    def _cells(self):
+        """(window, [(label, n_correct, n_error, n_discarded), ...]) in time order."""
+        for w, cells in enumerate(zip(self.correct, self.error, self.discarded)):
+            yield w, zip(self.labels, *cells)
+
+    @property
+    def rows(self) -> tuple[WindowRow, ...]:
+        """One row per (window, sent label), in CSV order."""
+        return tuple(WindowRow(w * self.window_s, *cell) for w, cells in self._cells() for cell in cells)
+
     def label_stats(self) -> dict[str, LabelStats]:
+        totals = (map(sum, zip(*column)) for column in (self.correct, self.error, self.discarded))
         out = {}
-        for label in self.labels:
-            nc = sum(r.n_correct for r in self.rows if r.sent_label == label)
-            ne = sum(r.n_error for r in self.rows if r.sent_label == label)
-            nd = sum(r.n_discarded for r in self.rows if r.sent_label == label)
+        for label, nc, ne, nd in zip(self.labels, *totals):
             n = nc + ne
-            if n:
-                q = ne / n
-                se = math.sqrt(q * (1.0 - q) / n)
-            else:
-                q = math.nan
-                se = math.nan
+            q = _qber(nc, ne)
+            se = math.sqrt(q * (1.0 - q) / n) if n else math.nan
             out[label] = LabelStats(label, nc, ne, nd, q, se)
         return out
 
     def to_csv(self) -> str:
         """Windowed series in the fixed output schema."""
         lines = ["window_start_s,sent_label,n_correct,n_error,n_discarded,qber"]
-        lines += [
-            f"{r.window_start_s!r},{r.sent_label},{r.n_correct},{r.n_error},"
-            f"{r.n_discarded},{r.qber!r}"
-            for r in self.rows
-        ]
+        for w, cells in self._cells():
+            start = repr(w * self.window_s)
+            lines += [f"{start},{label},{nc},{ne},{nd},{_qber(nc, ne)!r}" for label, nc, ne, nd in cells]
         return "\n".join(lines) + "\n"
 
 
@@ -199,9 +213,9 @@ def _n_windows(n_pulses: int, repetition_rate_hz: float, window_s: float) -> int
     return int(((n_pulses - 1) / repetition_rate_hz) // window_s) + 1 if n_pulses else 0
 
 
-def _windows(index, repetition_rate_hz: float, window_s: float):
-    """Analysis window of each pulse index."""
-    return ((index / repetition_rate_hz) // window_s).astype(np.int64)
+def _windows(t, window_s: float):
+    """Analysis window of each emission time."""
+    return (t // window_s).astype(np.int64)
 
 
 def _label_blocks(mode: str, n_pulses: int, seed):
@@ -231,10 +245,7 @@ def generate_sequence(mode: str, n_pulses: int, seed) -> list[str]:
     return [LABEL_CODES[c] for c in codes.tolist()]
 
 
-# PCG64's 128-bit LCG multiplier.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 def _hasher(const: int, mult: int):
@@ -257,14 +268,24 @@ def _mix(x, y):
 
 
 def _window_streams(seed: int, n_windows: int):
-    """Yield, for w = 0, 1, ..., n_windows - 1, the PCG64 states of
-    np.random.default_rng((seed, w, 0)) and default_rng((seed, w, 1)).
+    """Yield, for w = 0, 1, ..., n_windows - 1, the seeds s0, s1 for which
+    PCG64(s0) and PCG64(s1) start where np.random.default_rng((seed, w, 0))
+    and default_rng((seed, w, 1)) do.
 
-    numpy's SeedSequence (entropy mixed into a pool of four uint32 words,
-    then generate_state(4, uint64)) and PCG64's set-seed, computed on uint32
-    arrays for _SEED_BATCH windows and both roles at once. Each window
-    index is a single entropy word because w < _MAX_WINDOWS < 2**32.
+    Each seed returns the generate_state(4, uint64) words of numpy's
+    SeedSequence (entropy mixed into a pool of four uint32 words), computed
+    on uint32 arrays for _SEED_BATCH windows and both roles at once. Each
+    window index is a single entropy word because w < _MAX_WINDOWS < 2**32.
     """
+    from numpy.random.bit_generator import ISeedSequence  # on first run, not at import
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     seed = int(seed)
     seed_words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     for lo in range(0, n_windows, _SEED_BATCH):
@@ -283,17 +304,11 @@ def _window_streams(seed: int, n_windows: int):
                 pool[dst] = _mix(pool[dst], hashmix(word))
         hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
         out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-        # little-endian uint32 pairs -> the uint64 words (state hi, lo, seq hi, lo)
-        words = [(out[i] | out[i + 1] << np.uint64(32)).ravel().tolist() for i in range(0, 8, 2)]
-        states = (_pcg64_state(s_hi << 64 | s_lo, q_hi << 64 | q_lo) for s_hi, s_lo, q_hi, q_lo in zip(*words))
-        yield from zip(states, states)
-
-
-def _pcg64_state(initstate: int, initseq: int) -> dict:
-    """PCG64's state after seeding with (initstate, initseq)."""
-    inc = (initseq << 1 | 1) & _MASK128
-    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        # little-endian uint32 pairs -> the uint64 words, contiguous per (window, role),
+        # as PCG64's set-seed reads them
+        words = np.stack([out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=-1)
+        for emit, detect in words:
+            yield Words(emit), Words(detect)
 
 
 class _Tally:
@@ -326,19 +341,14 @@ class _Tally:
 
     def series(self, labels, window_s: float) -> QberSeries:
         """The windowed series for the label codes ``labels`` (ascending)."""
-        correct, error, discarded = (a.tolist() for a in self.sifted())
-        rows = tuple(
-            WindowRow(w * window_s, LABEL_ORDER[k], correct[w][k], error[w][k], discarded[w][k])
-            for w in range(len(self.cells))
-            for k in labels
-        )
+        columns = [tuple(map(tuple, a[:, labels].tolist())) for a in self.sifted()]
         c = self.cells.sum(axis=1)
         outcomes = np.stack(
             [c[:, _CLICK_0], c[:, _CLICK_1], c[:, _DOUBLE] + c[:, _COIN_0] + c[:, _COIN_1], c[:, _NONE]],
             axis=1,
         )
-        labels = tuple(LABEL_ORDER[k] for k in labels)
-        return QberSeries(rows, labels, window_s, tuple(map(tuple, outcomes.tolist())))
+        names = tuple(LABEL_ORDER[k] for k in labels)
+        return QberSeries(names, window_s, *columns, tuple(map(tuple, outcomes.tolist())))
 
 
 def sift_and_qber(
@@ -381,7 +391,7 @@ def sift_and_qber(
     tally = _Tally(_n_windows(n, repetition_rate_hz, window_s), double_click_policy, assignment_seed)
     if index:
         index = np.array(index)
-        windows = _windows(index, repetition_rate_hz, window_s)
+        windows = _windows(index / repetition_rate_hz, window_s)
         tally.add(windows, codes[index], np.array(outcomes, dtype=np.uint8))
     return tally.series(np.unique(codes).tolist(), window_s)
 
@@ -412,31 +422,29 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     tallies = [_Tally(n_windows, det.double_click_policy, config.detection_seed) for _ in inline_flags]
     mu = label_table(config.encoder).mu
     pulses = np.zeros(n_windows, dtype=np.int64)
-    streams = _window_streams(config.detection_seed, n_windows)
-    bitgens = (np.random.PCG64(), np.random.PCG64())  # each window loads its own states
-    rng_emit, rng_det = (np.random.Generator(b) for b in bitgens)
+    seeds = _window_streams(config.detection_seed, n_windows)
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
     open_window = -1
     start = 0
     with _out_of_range_is_a_config_error():
         for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed):
-            index = np.arange(start, start + len(codes))
+            t = np.arange(start, start + len(codes)) / rate
             start += len(codes)
-            t = index / rate
-            windows = _windows(index, rate, window_s)
+            windows = _windows(t, window_s)
+            lo = int(windows[0])
+            pulses[lo : int(windows[-1]) + 1] += np.bincount(windows - lo)
             normals = np.empty(len(codes))
             uniforms = np.empty(len(codes))
             cuts = [0, *(np.flatnonzero(np.diff(windows)) + 1).tolist(), len(codes)]
-            for a, b in zip(cuts, cuts[1:]):
-                w = int(windows[a])
-                # a window continued from the previous block keeps its streams'
-                # state; windows without pulses skip theirs
+            for a, b, w in zip(cuts, cuts[1:], windows[cuts[:-1]].tolist()):
+                # a window continued from the previous block keeps its streams;
+                # windows without pulses get none
                 if w != open_window:
-                    for bitgen, state in zip(bitgens, next(islice(streams, w - open_window - 1, None))):
-                        bitgen.state = state
+                    s_emit, s_det = next(islice(seeds, w - open_window - 1, None))
+                    rng_emit, rng_det = Generator(PCG64(s_emit)), Generator(PCG64(s_det))
                     open_window = w
                 rng_emit.standard_normal(out=normals[a:b])
                 rng_det.random(out=uniforms[a:b])
-                pulses[w] += b - a
             for inline, tally in zip(inline_flags, tallies):
                 state = emit_batch(codes, t, normals, config.encoder, inline)
                 outcomes = sample_outcomes(joint_probabilities(*state, mu, det), uniforms).astype(np.uint8)
@@ -450,10 +458,9 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
         series = tally.series(labels, window_s)
         summary = series.label_stats()
         totals = np.stack(tally.sifted(), axis=-1).sum(axis=0).tolist()
-        assert all(
-            [s.n_correct, s.n_error, s.n_discarded] == totals[LABEL_ORDER.index(label)]
-            for label, s in summary.items()
-        ), "label_stats() != the sum of the rows"
+        assert {label: [s.n_correct, s.n_error, s.n_discarded] for label, s in summary.items()} == {
+            LABEL_ORDER[k]: totals[k] for k in labels
+        }, "label_stats() != the totals of the tally cells"
         results.append(RunResult(series, summary))
     return results
 

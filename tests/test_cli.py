@@ -319,6 +319,16 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert "sequence_seed must be >= 0" in capsys.readouterr().err
 
 
+def test_import_leaves_numpy_random_for_the_first_run():
+    # numpy.random is imported by the first run, not at start-up, so its cost
+    # is counted as run time wherever a run is timed apart from start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(pognac.__file__).parents[1]))
+    code = "import sys, pognac, pognac.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_python_m_pognac_help():
     env = dict(os.environ, PYTHONPATH=str(Path(pognac.__file__).parents[1]))
     proc = subprocess.run(

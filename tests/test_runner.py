@@ -414,10 +414,55 @@ def test_window_streams_equal_default_rng(seed):
     assert len(streams) == 80
     for w, pair in enumerate(streams, start=first):
         for k in (0, 1):
-            assert pair[k] == np.random.default_rng((seed, w, k)).bit_generator.state
+            rng = np.random.Generator(np.random.PCG64(pair[k]))
+            oracle = np.random.default_rng((seed, w, k))
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            np.testing.assert_array_equal(rng.standard_normal(5), oracle.standard_normal(5))
+            np.testing.assert_array_equal(rng.random(5), oracle.random(5))
 
 
 def test_windows_without_pulses_skip_their_streams():
     # a pulse every 1 ms, windows of 0.3 ms: most windows hold no pulse
     config = random_policy_config(repetition_rate_hz=1e3, duration_s=0.05, window_s=3e-4)
     assert window_reversed_series(config, inline=False) == run_experiment(config).series
+
+
+def rendered_row_by_row(rows):
+    """The CSV as it was rendered from one WindowRow per line."""
+    lines = ["window_start_s,sent_label,n_correct,n_error,n_discarded,qber"]
+    lines += [
+        f"{r.window_start_s!r},{r.sent_label},{r.n_correct},{r.n_error},{r.n_discarded},{r.qber!r}" for r in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        random_policy_config(),
+        # about one photon in ten pulses, ten pulses per window: many empty cells
+        quiet_config(duration_s=0.3, window_s=1e-3),
+        # a pulse every 1 ms, windows of 0.3 ms: most windows hold no pulse
+        random_policy_config(repetition_rate_hz=1e3, duration_s=0.05, window_s=3e-4),
+    ],
+    ids=["random", "discard-empty-cells", "sparse"],
+)
+def test_csv_and_rows_follow_the_columns(config):
+    series = run_experiment(config).series
+    n_windows = len(series.outcome_counts)
+    assert len(series.correct) == len(series.error) == len(series.discarded) == n_windows
+    rows = [
+        runner.WindowRow(w * config.window_s, label, series.correct[w][i], series.error[w][i], series.discarded[w][i])
+        for w in range(n_windows)
+        for i, label in enumerate(series.labels)
+    ]
+    assert series.rows == tuple(rows)
+    assert series.to_csv() == rendered_row_by_row(rows)
+    for label, stats in series.label_stats().items():
+        mine = [r for r in rows if r.sent_label == label]
+        assert (stats.n_correct, stats.n_error, stats.n_discarded) == tuple(
+            sum(getattr(r, f) for r in mine) for f in ("n_correct", "n_error", "n_discarded")
+        )
+    if config.detector.double_click_policy == "discard":
+        assert any(math.isnan(r.qber) for r in rows)
+        assert "nan" in series.to_csv()

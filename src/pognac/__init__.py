@@ -45,7 +45,6 @@ from .runner import (
 from .waveform import (
     PatternSpec,
     Segment,
-    Waveform,
     pattern_for_state,
     quantize_delay,
 )

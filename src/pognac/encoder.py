@@ -21,7 +21,7 @@ import numpy as np
 from .elements import ElementParams, db_to_power, phase_from_voltage
 from .errors import FINITE, NONNEG, POSITIVE, ConfigurationError, Rule, check_fields, one_of, ruled
 from .polarization import SQRT_HALF, JonesVector, TransferMatrix, transform
-from .waveform import LABEL_CODES, PatternSpec, Waveform, label_code, pattern_for_state
+from .waveform import LABEL_CODES, PatternSpec, Segment, label_code, pattern_for_state
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -29,7 +29,7 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 # The optical intensity profile is treated as a Gaussian truncated at
-# +-2.5 sigma. A drive segment that covers the whole support imprints its
+# +-2.5 sigma. A drive pulse that covers the whole support imprints its
 # phase exactly; with the stock numbers (3 ns drive, 1.2 ns FWHM) the
 # support spans +-1.27 ns, well inside the drive window even after the
 # start is snapped to the delay grid.
@@ -131,14 +131,6 @@ class EncoderConfig:
     def __post_init__(self):
         check_fields(self)
 
-    @property
-    def phi0(self) -> float:
-        return self.elements.pc_phase_phi0
-
-    @property
-    def vpi(self) -> float:
-        return self.elements.modulator_vpi
-
     def mean_photon_out(self) -> float:
         """Mean photon number after both splitter passes, the modulator
         insertion loss, and the output attenuator."""
@@ -183,35 +175,32 @@ def _profile_mass(a: float, b: float, center: float, sigma: float) -> float:
     return (math.erf((hi - center) * z) - math.erf((lo - center) * z)) / (2.0 * _TRUNC_NORM)
 
 
-def _mean_phase(w: Waveform, arrival: float, vpi: float, sigma: float) -> float:
-    phi = 0.0
-    covered = 0.0
-    for seg in w.segments:
-        mass = _profile_mass(seg.start, seg.start + seg.duration, arrival, sigma)
-        if mass > 0.0:
-            phi += phase_from_voltage(seg.level, vpi) * mass
-            covered += mass
-    if w.baseline != 0.0:
-        phi += phase_from_voltage(w.baseline, vpi) * (1.0 - covered)
-    return phi
+def _mean_phase(pulse: Segment, arrival: float, vpi: float, sigma: float) -> float:
+    mass = _profile_mass(pulse.start, pulse.start + pulse.duration, arrival, sigma)
+    return phase_from_voltage(pulse.level, vpi) * mass
 
 
 def phases_from_waveform(
-    w: Waveform,
+    pulse: Segment | None,
     cw_arrival: float,
     ccw_arrival: float,
     vpi: float,
     optical_fwhm: float,
 ) -> tuple[float, float]:
     """Intensity-weighted modulator phases (phi_e, phi_l) picked up by the
-    CW and CCW transits.
+    CW and CCW transits from one rectangular drive pulse (None: no pulse).
 
-    Each rectangular drive segment contributes its phase weighted by the
-    optical-profile mass it covers; the overlap integral is exact (erf).
+    The pulse contributes its phase weighted by the optical-profile mass it
+    covers at each transit; the overlap integral is exact (erf).
     """
     POSITIVE.check("optical FWHM", optical_fwhm)
+    if pulse is None:
+        return 0.0, 0.0
+    FINITE.check("segment start", pulse.start)
+    POSITIVE.check("segment duration", pulse.duration)
+    FINITE.check("segment level", pulse.level)
     sigma = optical_fwhm * FWHM_TO_SIGMA
-    return _mean_phase(w, cw_arrival, vpi, sigma), _mean_phase(w, ccw_arrival, vpi, sigma)
+    return _mean_phase(pulse, cw_arrival, vpi, sigma), _mean_phase(pulse, ccw_arrival, vpi, sigma)
 
 
 def encode(phi_e: float, phi_l: float, phi0: float) -> JonesVector:
@@ -234,14 +223,17 @@ OUTPUT_PC = TransferMatrix(
 
 
 class LabelTable(NamedTuple):
-    """Per-label-code drive phases and phase-jitter sigma of one encoder
-    config (read-only arrays indexed by label code), plus the mean photon
-    number every pulse leaves with."""
+    """The phase model of one encoder config, read by both the emission
+    kernel and the analytic QBER: per-label-code drive phases and jitter
+    sigma (read-only arrays indexed by label code), the mean photon number
+    every pulse leaves with, the transit lead and the controller frame."""
 
     phi_e: np.ndarray
     phi_l: np.ndarray
     sigma: np.ndarray
     mu: float
+    lead: float  # s, CW transit ahead of CCW (loop_transit_lead)
+    frame: float  # rad, pc_phase_phi0 + pc_misalignment_eps off every phase difference
 
 
 @lru_cache(maxsize=64)
@@ -249,24 +241,26 @@ def label_table(config: EncoderConfig) -> LabelTable:
     """Drive phases picked up by the CW (phi_e) and CCW (phi_l) transits and
     the jitter sigma of each label, built once per config.
 
-    Waveform times are relative to the slot trigger: the CW transit crosses
+    Drive times are relative to the slot trigger: the CW transit crosses
     the modulator at 0, the CCW one a transit lead later. Every slot gets
     the baseline jitter; slots that carry a drive pulse add the drive
     jitter in quadrature.
     """
     lead = loop_transit_lead(config.delta_l_m, config.fiber_index)
+    vpi = config.elements.modulator_vpi
     rows = []
     for label in LABEL_CODES:
-        w = pattern_for_state(label, config.drive, 0.0, lead, config.vpi)
-        phi_e, phi_l = phases_from_waveform(w, 0.0, lead, config.vpi, config.optical_fwhm_s)
+        pulse = pattern_for_state(label, config.drive, 0.0, lead, vpi)
+        phi_e, phi_l = phases_from_waveform(pulse, 0.0, lead, vpi, config.optical_fwhm_s)
         sigma = config.phase_jitter_sigma
-        if w.segments:
+        if pulse is not None:
             sigma = math.hypot(sigma, config.drive_jitter_sigma)
         rows.append((phi_e, phi_l, sigma))
     columns = [np.array(col) for col in zip(*rows)]
     for col in columns:
         col.setflags(write=False)
-    return LabelTable(*columns, config.mean_photon_out())
+    frame = config.elements.pc_phase_phi0 + config.elements.pc_misalignment_eps
+    return LabelTable(*columns, config.mean_photon_out(), lead, frame)
 
 
 def emit_batch(codes, t, normals, config: EncoderConfig, inline: bool = False):
@@ -285,13 +279,11 @@ def emit_batch(codes, t, normals, config: EncoderConfig, inline: bool = False):
     scalars.
     """
     table = label_table(config)
-    phi0 = config.phi0 + config.elements.pc_misalignment_eps
     x = table.phi_e[codes] + table.sigma[codes] * normals
     if inline:
-        x = x - table.phi_l[codes] - phi0 + config.drift.theta(t)
+        x = x - table.phi_l[codes] - table.frame + config.drift.theta(t)
     else:
-        lead = loop_transit_lead(config.delta_l_m, config.fiber_index)
-        x = x + config.drift.theta_diff(t, t + lead) - table.phi_l[codes] - phi0
+        x = x + config.drift.theta_diff(t, t + table.lead) - table.phi_l[codes] - table.frame
     loop_v_re, loop_v_im = np.cos(x) * SQRT_HALF, np.sin(x) * SQRT_HALF
     h_re, h_im, v_re, v_im = transform(OUTPUT_PC, SQRT_HALF, 0.0, loop_v_re, loop_v_im)
     n = np.sqrt((h_re * h_re + h_im * h_im) + (v_re * v_re + v_im * v_im))

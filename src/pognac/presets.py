@@ -22,16 +22,20 @@ import math
 
 import numpy as np
 
-from .encoder import DriftProfile, EncoderConfig, label_table
+from .encoder import NOMINAL_PHASE, DriftProfile, EncoderConfig, label_table
 from .errors import ConfigurationError
 from .receiver import BASIS_DA, BASIS_HV, POLICIES, POLICY_DISCARD, POLICY_RANDOM, DetectorParams
 from .runner import LABEL_ORDER, SEQUENCE_DA, SEQUENCE_HVD, RunConfig
+from .waveform import LABEL_CODES
 
 # Solved jitter calibration, radians (see module docstring).
 HVD_BASE_JITTER = 0.2259
 HVD_DRIVE_JITTER = 0.0436
 DA_BASE_JITTER = 0.0759
 DA_DRIVE_JITTER = 0.0565
+
+# Gauss-Hermite nodes of expected_qber's average over the phase jitter.
+_QUADRATURE_NODES = 81
 
 # Reference mean QBERs the presets emulate, by (preset, receiver label).
 REFERENCE_QBER = {
@@ -49,7 +53,6 @@ def expected_qber(
     dark: float,
     jitter_sigma: float,
     phase_offset: float = 0.0,
-    n_nodes: int = 81,
     policy: str = POLICY_DISCARD,
 ) -> float:
     """Analytic mean sifted QBER of a state measured in its own basis.
@@ -65,7 +68,7 @@ def expected_qber(
     the jitter distribution.
     """
     POLICIES.check("double_click_policy", policy)
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(_QUADRATURE_NODES)
     weights = weights / math.sqrt(2.0 * math.pi)  # normalize to a probability measure
     e = jitter_sigma * nodes + phase_offset
     q_err = np.sin(e / 2.0) ** 2
@@ -83,17 +86,24 @@ def expected_qber(
 
 
 def preset_expected_qber(config: RunConfig, sent_label: str) -> float:
-    """expected_qber() evaluated with a run config's own parameters.
+    """expected_qber() evaluated with a run config's own parameters, read
+    from the same label table the emission kernel reads.
 
-    Valid for labels measured in their own basis (the deterministic ones).
+    The phase offset is the label's drive residual, its phase difference
+    phi_e - phi_l off the nominal one (wrapped into [-pi, pi]), less the
+    controller frame phase. Valid for labels measured in their own basis
+    (the deterministic ones).
     """
     table = label_table(config.encoder)
+    code = LABEL_ORDER.index(sent_label)
+    nominal = NOMINAL_PHASE[LABEL_CODES[code]]
+    residual = math.remainder(table.phi_e[code] - table.phi_l[code] - nominal, 2.0 * math.pi)
     return expected_qber(
         table.mu,
         config.detector.efficiency,
         config.detector.dark_count_prob_per_gate,
-        float(table.sigma[LABEL_ORDER.index(sent_label)]),
-        phase_offset=config.encoder.elements.pc_misalignment_eps,
+        float(table.sigma[code]),
+        phase_offset=residual - table.frame,
         policy=config.detector.double_click_policy,
     )
 

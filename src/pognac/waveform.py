@@ -1,5 +1,5 @@
-"""Electrical drive model: quantized-delay rectangular pulse patterns that
-address the clockwise or counter-clockwise transit of each optical pulse.
+"""Electrical drive model: the quantized-delay rectangular pulse that
+addresses the clockwise or counter-clockwise transit of each optical pulse.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import FINITE, POSITIVE, ConfigurationError, check_fields, one_of, ruled
+from .errors import POSITIVE, ConfigurationError, check_fields, one_of, ruled
 
 MODE_TWO_LEVEL = "two-level"
 MODE_FOUR_LEVEL = "four-level"
@@ -33,30 +33,6 @@ class Segment(NamedTuple):
     start: float  # s
     duration: float  # s
     level: float  # V
-
-
-@dataclass(frozen=True)
-class Waveform:
-    """Piecewise-constant voltage vs time: sorted, non-overlapping segments
-    over a constant baseline (0 V unless stated)."""
-
-    segments: tuple[Segment, ...] = ()
-    baseline: float = 0.0
-
-    def __post_init__(self):
-        segs = tuple(sorted((Segment(*s) for s in self.segments), key=lambda s: s.start))
-        for seg in segs:
-            FINITE.check("segment start", seg.start)
-            POSITIVE.check("segment duration", seg.duration)
-            FINITE.check("segment level", seg.level)
-        FINITE.check("baseline", self.baseline)
-        for prev, nxt in zip(segs, segs[1:]):
-            if prev.start + prev.duration > nxt.start:
-                raise ConfigurationError(
-                    f"segments overlap: [{prev.start}, {prev.start + prev.duration}) and "
-                    f"[{nxt.start}, {nxt.start + nxt.duration})"
-                )
-        object.__setattr__(self, "segments", segs)
 
 
 @dataclass(frozen=True)
@@ -97,14 +73,14 @@ def pattern_for_state(
     cw_arrival: float,
     ccw_arrival: float,
     vpi: float,
-) -> Waveform:
-    """Drive waveform selecting one of the four output states.
+) -> Segment | None:
+    """The one drive pulse selecting an output state, or None for no pulse.
 
     Two-level mode: D no pulse; L a vpi/2 pulse on the CW transit; R a vpi/2
     pulse on the CCW transit; A a vpi pulse on the transit named by
     spec.a_pulse_direction. Four-level mode: a single pulse on the CW
     transit at {0, vpi/2, vpi, 3 vpi/2} for {D, L, A, R}; the zero level is
-    the empty waveform.
+    no pulse.
 
     Pulses are centered on the addressed arrival time, with the start
     snapped to the delay granularity. The two transits must be separated by
@@ -121,7 +97,7 @@ def pattern_for_state(
 
     if spec.mode == MODE_TWO_LEVEL:
         if state == "D":
-            return Waveform()
+            return None
         if state == "L":
             center, level = cw_arrival, vpi / 2.0
         elif state == "R":
@@ -132,8 +108,8 @@ def pattern_for_state(
     else:
         level = {"D": 0.0, "L": vpi / 2.0, "A": vpi, "R": 1.5 * vpi}[state]
         if level == 0.0:
-            return Waveform()
+            return None
         center = cw_arrival
 
     start = quantize_delay(center - spec.pulse_width / 2.0, spec.delay_granularity)
-    return Waveform((Segment(start, spec.pulse_width, level),))
+    return Segment(start, spec.pulse_width, level)

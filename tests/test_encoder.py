@@ -28,7 +28,6 @@ from pognac.waveform import (
     MODE_TWO_LEVEL,
     PatternSpec,
     Segment,
-    Waveform,
     pattern_for_state,
 )
 
@@ -70,12 +69,12 @@ def test_lead_exceeds_drive_width_over_fiber_index_range():
 
 
 def test_phases_empty_waveform():
-    assert phases_from_waveform(Waveform(), 0.0, 5 * NS, 4.0, 1.2 * NS) == (0.0, 0.0)
+    assert phases_from_waveform(None, 0.0, 5 * NS, 4.0, 1.2 * NS) == (0.0, 0.0)
 
 
 def test_phases_full_coverage_is_exact():
     # 3 ns drive centered on the pulse covers the whole truncated profile
-    w = Waveform((Segment(-1.5 * NS, 3 * NS, 2.0),))
+    w = Segment(-1.5 * NS, 3 * NS, 2.0)
     phi_e, phi_l = phases_from_waveform(w, 0.0, 4.836 * NS, 4.0, 1.2 * NS)
     assert phi_e == pytest.approx(math.pi / 2, abs=1e-12)
     assert phi_l == pytest.approx(0.0, abs=1e-12)
@@ -83,7 +82,7 @@ def test_phases_full_coverage_is_exact():
 
 def test_phases_half_overlap():
     # drive edge sitting on the pulse center -> half the profile mass -> pi/4
-    w = Waveform((Segment(0.0, 3 * NS, 2.0),))
+    w = Segment(0.0, 3 * NS, 2.0)
     phi_e, _ = phases_from_waveform(w, 0.0, 20 * NS, 4.0, 1.2 * NS)
     assert phi_e == pytest.approx(math.pi / 4, abs=1e-12)
 
@@ -105,16 +104,9 @@ def test_phases_partial_overlap_matches_quadrature():
     )
     expected = mass * (math.pi / 2)
 
-    w = Waveform((Segment(-5 * NS, 5 * NS + edge, 2.0),))
+    w = Segment(-5 * NS, 5 * NS + edge, 2.0)
     phi_e, _ = phases_from_waveform(w, 0.0, 30 * NS, 4.0, fwhm)
     assert phi_e == pytest.approx(expected, abs=1e-8)
-
-
-def test_phases_nonzero_baseline():
-    # baseline drive acts on the profile mass no segment covers
-    w = Waveform((Segment(0.0, 3 * NS, 2.0),), baseline=1.0)
-    phi_e, _ = phases_from_waveform(w, 0.0, 30 * NS, 4.0, 1.2 * NS)
-    assert phi_e == pytest.approx(0.5 * (math.pi / 2) + 0.5 * (math.pi / 4), abs=1e-12)
 
 
 def test_encode_canonical_states():

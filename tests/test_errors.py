@@ -10,7 +10,7 @@ from pognac.polarization import H
 from pognac.presets import expected_qber
 from pognac.receiver import DetectorParams, click_probabilities
 from pognac.runner import SEQUENCE_HVD, RunConfig, generate_sequence, sift_and_qber
-from pognac.waveform import PatternSpec, Waveform, pattern_for_state, quantize_delay
+from pognac.waveform import PatternSpec, Segment, pattern_for_state, quantize_delay
 
 NAN, INF = math.nan, math.inf
 _CONFIG_CLASSES = (RunConfig, EncoderConfig, ElementParams, DriftProfile, DetectorParams, PatternSpec)
@@ -47,6 +47,10 @@ def test_non_finite_config_values_are_rejected_at_construction():
     assert checked == 3 * 23 - 1
 
 
+def _phases(pulse, fwhm=1.2e-9):
+    return phases_from_waveform(pulse, 0.0, 5e-9, 4.0, fwhm)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -55,11 +59,10 @@ def test_non_finite_config_values_are_rejected_at_construction():
         pytest.param(lambda: loop_transit_lead(1.0, NAN), "fiber_index", id="lead-index"),
         pytest.param(lambda: loop_transit_lead(1.0, 0.5), "fiber_index", id="lead-index-below-1"),
         pytest.param(lambda: phase_from_voltage(1.0, NAN), "modulator vpi", id="vpi"),
-        pytest.param(lambda: phases_from_waveform(Waveform(), 0.0, 5e-9, 4.0, NAN), "optical FWHM", id="fwhm"),
-        pytest.param(lambda: Waveform(((NAN, 1e-9, 1.0),)), "segment start", id="segment-start"),
-        pytest.param(lambda: Waveform(((0.0, NAN, 1.0),)), "segment duration", id="segment-duration"),
-        pytest.param(lambda: Waveform(((0.0, 1e-9, INF),)), "segment level", id="segment-level"),
-        pytest.param(lambda: Waveform(baseline=NAN), "baseline", id="baseline"),
+        pytest.param(lambda: _phases(None, fwhm=NAN), "optical FWHM", id="fwhm"),
+        pytest.param(lambda: _phases(Segment(NAN, 1e-9, 1.0)), "segment start", id="segment-start"),
+        pytest.param(lambda: _phases(Segment(0.0, NAN, 1.0)), "segment duration", id="segment-duration"),
+        pytest.param(lambda: _phases(Segment(0.0, 1e-9, INF)), "segment level", id="segment-level"),
         pytest.param(lambda: quantize_delay(1e-9, INF), "granularity", id="granularity"),
         pytest.param(lambda: pattern_for_state("L", PatternSpec(), 0.0, 5e-9, NAN), "vpi", id="pattern-vpi"),
         pytest.param(lambda: sift_and_qber([], ["D", "A"], NAN, 2.0), "window_s", id="window"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -7,21 +8,53 @@ import pytest
 from pognac.cli import parse_config
 from pognac.presets import REFERENCE_QBER, preset_config, preset_expected_qber
 from pognac.runner import run_experiment
+from pognac.waveform import MODE_FOUR_LEVEL
 
 SHORT_WINDOWS_CFG = Path(__file__).parents[1] / "perfbench" / "short_windows.cfg"
 
 
+# Presets with one drive or controller knob moved, so a label's phase
+# difference leaves its nominal value or wraps by 2 pi: (preset, encoder edit).
+VARIANTS = {
+    "fig2-phi0": ("fig2", lambda enc: replace(enc, elements=replace(enc.elements, pc_phase_phi0=0.3))),
+    "fig2-wide-pulse": ("fig2", lambda enc: replace(enc, optical_fwhm_s=2.6e-9)),
+    "fig2-four-level": ("fig2", lambda enc: replace(enc, drive=replace(enc.drive, mode=MODE_FOUR_LEVEL))),
+    "fig4-ccw-a": ("fig4", lambda enc: replace(enc, drive=replace(enc.drive, a_pulse_direction="ccw"))),
+}
+
+
 @cache
 def config_and_summary(name):
-    """Run config and run summary of a preset, or of the benchmark's
-    short_windows config (random double-click policy) at its own seeds."""
-    config = parse_config(SHORT_WINDOWS_CFG.read_text()) if name == "short_windows" else preset_config(name)
+    """Run config and run summary of a preset, of a VARIANTS entry, or of
+    the benchmark's short_windows config (random double-click policy), each
+    at its own seeds."""
+    if name == "short_windows":
+        config = parse_config(SHORT_WINDOWS_CFG.read_text())
+    elif name in VARIANTS:
+        base, edit = VARIANTS[name]
+        config = preset_config(base)
+        config = replace(config, encoder=edit(config.encoder))
+    else:
+        config = preset_config(name)
     return config, run_experiment(config).summary
 
 
 @pytest.mark.parametrize(
     "name, label",
-    [("fig2", "H"), ("fig2", "V"), ("fig4", "D"), ("fig4", "A"), ("short_windows", "D"), ("short_windows", "A")],
+    [
+        ("fig2", "H"),
+        ("fig2", "V"),
+        ("fig4", "D"),
+        ("fig4", "A"),
+        ("short_windows", "D"),
+        ("short_windows", "A"),
+        ("fig2-phi0", "H"),
+        ("fig2-phi0", "V"),
+        ("fig2-wide-pulse", "H"),
+        ("fig2-wide-pulse", "V"),
+        ("fig2-four-level", "V"),
+        ("fig4-ccw-a", "A"),
+    ],
 )
 def test_expected_qber_matches_the_run_under_either_policy(name, label):
     config, summary = config_and_summary(name)

@@ -336,14 +336,15 @@ def scalar_emitter(enc, inline):
     phases -> encode_with_drift or inline_encoder_reference -> output
     controller), the reference for the array kernel."""
     lead = loop_transit_lead(enc.delta_l_m, enc.fiber_index)
-    phi0 = enc.phi0 + enc.elements.pc_misalignment_eps
+    phi0 = enc.elements.pc_phase_phi0 + enc.elements.pc_misalignment_eps
+    vpi = enc.elements.modulator_vpi
     drive = {}
     for label in ("D", "L", "R", "A"):
-        w = pattern_for_state(label, enc.drive, 0.0, lead, enc.vpi)
+        pulse = pattern_for_state(label, enc.drive, 0.0, lead, vpi)
         sigma = enc.phase_jitter_sigma
-        if w.segments:
+        if pulse is not None:
             sigma = math.hypot(sigma, enc.drive_jitter_sigma)
-        drive[label] = (*phases_from_waveform(w, 0.0, lead, enc.vpi, enc.optical_fwhm_s), sigma)
+        drive[label] = (*phases_from_waveform(pulse, 0.0, lead, vpi, enc.optical_fwhm_s), sigma)
 
     def emit(label, t, rng):
         phi_e, phi_l, sigma = drive[label]

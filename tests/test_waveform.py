@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pognac.encoder import phases_from_waveform
 from pognac.errors import ConfigurationError
 from pognac.waveform import (
     MODE_FOUR_LEVEL,
     MODE_TWO_LEVEL,
     PatternSpec,
     Segment,
-    Waveform,
     pattern_for_state,
     quantize_delay,
 )
@@ -49,14 +49,12 @@ def test_quantize_idempotent_and_on_grid(requested, granularity):
 
 
 def test_two_level_d_is_empty():
-    w = pattern_for_state("D", SPEC, CW, CCW, VPI)
-    assert w.segments == ()
+    assert pattern_for_state("D", SPEC, CW, CCW, VPI) is None
 
 
 def test_two_level_l_pulses_cw():
-    w = pattern_for_state("L", SPEC, CW, CCW, VPI)
-    assert len(w.segments) == 1
-    seg = w.segments[0]
+    seg = pattern_for_state("L", SPEC, CW, CCW, VPI)
+    assert seg is not None
     assert seg.level == pytest.approx(VPI / 2)
     assert seg.duration == pytest.approx(3 * NS)
     # centered on the CW arrival (10 ns start grid-aligned: 8.5 ns)
@@ -65,8 +63,7 @@ def test_two_level_l_pulses_cw():
 
 
 def test_two_level_r_pulses_ccw():
-    w = pattern_for_state("R", SPEC, CW, CCW, VPI)
-    seg = w.segments[0]
+    seg = pattern_for_state("R", SPEC, CW, CCW, VPI)
     assert seg.level == pytest.approx(VPI / 2)
     # start snaps to the 100 ps grid
     ideal = CCW - 1.5 * NS
@@ -75,25 +72,23 @@ def test_two_level_r_pulses_ccw():
 
 
 def test_two_level_a_uses_full_wave_voltage():
-    w = pattern_for_state("A", SPEC, CW, CCW, VPI)
-    seg = w.segments[0]
+    seg = pattern_for_state("A", SPEC, CW, CCW, VPI)
     assert seg.level == pytest.approx(VPI)
     assert seg.start + seg.duration / 2 == pytest.approx(CW, abs=1e-15)
 
     ccw_spec = PatternSpec(
         pulse_width=3 * NS, delay_granularity=100 * PS, a_pulse_direction="ccw"
     )
-    w = pattern_for_state("A", ccw_spec, CW, CCW, VPI)
-    assert abs(w.segments[0].start + w.segments[0].duration / 2 - CCW) <= 50 * PS
+    seg = pattern_for_state("A", ccw_spec, CW, CCW, VPI)
+    assert abs(seg.start + seg.duration / 2 - CCW) <= 50 * PS
 
 
 def test_four_level_levels():
     spec = PatternSpec(pulse_width=3 * NS, delay_granularity=100 * PS, mode=MODE_FOUR_LEVEL)
-    assert pattern_for_state("D", spec, CW, CCW, VPI).segments == ()
+    assert pattern_for_state("D", spec, CW, CCW, VPI) is None
     expected = {"L": VPI / 2, "A": VPI, "R": 1.5 * VPI}
     for label, level in expected.items():
-        w = pattern_for_state(label, spec, CW, CCW, VPI)
-        seg = w.segments[0]
+        seg = pattern_for_state(label, spec, CW, CCW, VPI)
         assert seg.level == pytest.approx(level)
         assert seg.start + seg.duration / 2 == pytest.approx(CW, abs=1e-15)
 
@@ -111,29 +106,17 @@ def test_unknown_label_rejected():
 @pytest.mark.parametrize("mode", [MODE_TWO_LEVEL, MODE_FOUR_LEVEL])
 @pytest.mark.parametrize("label", ["D", "L", "R", "A"])
 def test_addressing_discipline(mode, label):
-    # at most one transit sees a nonzero drive level; segments are half-open
+    # at most one transit sees a nonzero drive level; the pulse is half-open
     spec = PatternSpec(pulse_width=3 * NS, delay_granularity=100 * PS, mode=mode)
-    w = pattern_for_state(label, spec, CW, CCW, VPI)
-    assert w.baseline == 0.0
-    driven = [
-        t for t in (CW, CCW) for s in w.segments if s.level != 0.0 and s.start <= t < s.start + s.duration
-    ]
-    assert len(driven) <= 1
-
-
-def test_waveform_rejects_overlap():
-    with pytest.raises(ConfigurationError):
-        Waveform((Segment(0.0, 2 * NS, 1.0), Segment(1 * NS, 2 * NS, 1.0)))
+    s = pattern_for_state(label, spec, CW, CCW, VPI)
+    if s is not None:
+        driven = [t for t in (CW, CCW) if s.level != 0.0 and s.start <= t < s.start + s.duration]
+        assert len(driven) <= 1
 
 
 def test_waveform_rejects_zero_duration():
     with pytest.raises(ConfigurationError):
-        Waveform((Segment(0.0, 0.0, 1.0),))
-
-
-def test_waveform_sorts_segments():
-    w = Waveform((Segment(5 * NS, 1 * NS, 2.0), Segment(0.0, 1 * NS, 1.0)))
-    assert [s.start for s in w.segments] == [0.0, 5 * NS]
+        phases_from_waveform(Segment(0.0, 0.0, 1.0), CW, CCW, VPI, 1.2 * NS)
 
 
 def test_pattern_spec_validation():

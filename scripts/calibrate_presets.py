@@ -17,12 +17,16 @@ constants to paste into pognac/presets.py.
 
 import math
 
-from pognac.presets import expected_qber
+from pognac.presets import REFERENCE_QBER, expected_qber
 from pognac.runner import RunConfig
 
 MU = RunConfig().encoder.mean_photon_out()
 ETA = RunConfig().detector.efficiency
 DARK = RunConfig().detector.dark_count_prob_per_gate
+
+H, V = REFERENCE_QBER["fig2", "H"], REFERENCE_QBER["fig2", "V"]
+HVD_D = REFERENCE_QBER["fig3", "D"]
+DA_D, DA_A = REFERENCE_QBER["fig4", "D"], REFERENCE_QBER["fig4", "A"]
 
 
 def solve_sigma(target, lo=0.0, hi=1.0):
@@ -43,15 +47,15 @@ def solve_sigma(target, lo=0.0, hi=1.0):
 def main():
     print(f"mu = {MU:.6f}, eta = {ETA}, dark = {DARK}")
 
-    hv_target = 2 * 0.0123 * 0.0110 / (0.0123 + 0.0110)
+    hv_target = 2 * H * V / (H + V)
     print(f"H/V compromise target: {hv_target:.6f}")
 
-    hvd_base = solve_sigma(0.0112)
+    hvd_base = solve_sigma(HVD_D)
     hvd_total = solve_sigma(hv_target)
     hvd_drive = math.sqrt(hvd_total**2 - hvd_base**2)
 
-    da_base = solve_sigma(0.0013)
-    da_total = solve_sigma(0.0020)
+    da_base = solve_sigma(DA_D)
+    da_total = solve_sigma(DA_A)
     da_drive = math.sqrt(da_total**2 - da_base**2)
 
     print(f"HVD_BASE_JITTER = {hvd_base:.6f}")
@@ -61,8 +65,8 @@ def main():
 
     # round-trip check at the rounded values
     for name, base, drive, targets in [
-        ("hvd", round(hvd_base, 4), round(hvd_drive, 4), {"D": 0.0112, "H/V": hv_target}),
-        ("da", round(da_base, 4), round(da_drive, 4), {"D": 0.0013, "A": 0.0020}),
+        ("hvd", round(hvd_base, 4), round(hvd_drive, 4), {"D": HVD_D, "H/V": hv_target}),
+        ("da", round(da_base, 4), round(da_drive, 4), {"D": DA_D, "A": DA_A}),
     ]:
         got_d = expected_qber(MU, ETA, DARK, base)
         got_drv = expected_qber(MU, ETA, DARK, math.hypot(base, drive))

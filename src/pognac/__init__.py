@@ -1,19 +1,16 @@
 """Desk-scale simulator of a self-compensating Sagnac-loop polarization
 encoder and the three-state BB84 link built around it."""
 
-from .elements import (
-    ElementParams,
-    db_to_power,
-    make_hwp,
-    phase_from_voltage,
-)
 from .encoder import (
     DriftProfile,
+    ElementParams,
     EmittedPulse,
     EncoderConfig,
+    db_to_power,
     emit_pulse,
     encode,
     loop_transit_lead,
+    phase_from_voltage,
     phases_from_waveform,
 )
 from .errors import ConfigFileError, ConfigurationError
@@ -28,6 +25,7 @@ from .receiver import (
     DetectionRecord,
     DetectorParams,
     click_probabilities,
+    make_hwp,
     simulate_detection,
 )
 from .runner import (

@@ -3,9 +3,11 @@
 The loop maps the drive timing onto a phase difference between the
 clockwise and counter-clockwise transits; only that difference reaches the
 output state, so disturbances common to both directions cancel. This module
-covers transit timing, drive-to-phase conversion, the output-state algebra,
-a drift model to exercise the self-compensation, and pulse emission: the
-array kernel ``emit_batch`` and its per-pulse adapter ``emit_pulse``.
+covers the encoder's parameters (its optical elements' losses and
+imperfections included, with the dB and drive-voltage conversions), transit
+timing, drive-to-phase conversion, the output-state algebra, a drift model
+to exercise the self-compensation, and pulse emission: the array kernel
+``emit_batch`` and its per-pulse adapter ``emit_pulse``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elements import ElementParams, db_to_power, phase_from_voltage
 from .errors import FINITE, NONNEG, POSITIVE, ConfigurationError, Rule, check_fields, one_of, ruled
 from .polarization import SQRT_HALF, JonesVector, TransferMatrix, transform
 from .waveform import LABEL_CODES, PatternSpec, Segment, label_code, pattern_for_state
@@ -106,6 +107,45 @@ class DriftProfile:
         return DriftProfile(DRIFT_SINUSOIDAL, amplitude_rad=amplitude_rad, period_s=period_s)
 
 
+def db_to_power(db: float) -> float:
+    """Power transmission factor 10^(-dB/10) of a loss given in dB."""
+    return 10.0 ** (-db / 10.0)
+
+
+@dataclass(frozen=True)
+class ElementParams:
+    """Imperfection and loss knobs for the optical elements of the encoder.
+
+    pbs_extinction_db        power extinction ratio of the loop PBS
+                             (math.inf = ideal); recorded in every
+                             provenance header but not modelled: the loop
+                             PBS is ideal
+    pc_phase_phi0            equator angle phi0 the input controller dials in
+    pc_misalignment_eps      residual controller misalignment, radians
+    bs_insertion_loss_db     per-pass loss of the 50:50 splitter standing in
+                             for a circulator (two passes per pulse)
+    attenuator_loss_db       output attenuator bringing pulses down to the
+                             single-photon level
+    modulator_vpi            half-wave voltage of the phase modulator
+    modulator_insertion_loss_db
+
+    Each field declares its valid range (errors.ruled), checked here and by
+    the config parser: losses >= 0, vpi > 0, every value finite except an
+    ideal PBS's infinite extinction.
+    """
+
+    pbs_extinction_db: float = ruled(30.0, Rule(">= 0 (inf: an ideal PBS)", lambda v: v >= 0))
+    pc_phase_phi0: float = ruled(0.0, FINITE)
+    pc_misalignment_eps: float = ruled(0.0, FINITE)
+    bs_insertion_loss_db: float = ruled(3.0, NONNEG)
+    attenuator_loss_db: float = ruled(64.0, NONNEG)
+    modulator_vpi: float = ruled(4.0, POSITIVE)
+    modulator_insertion_loss_db: float = ruled(3.0, NONNEG)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     """Physical parameters of the encoder and its drive electronics.
@@ -173,6 +213,12 @@ def _profile_mass(a: float, b: float, center: float, sigma: float) -> float:
         return 0.0
     z = 1.0 / (sigma * math.sqrt(2.0))
     return (math.erf((hi - center) * z) - math.erf((lo - center) * z)) / (2.0 * _TRUNC_NORM)
+
+
+def phase_from_voltage(volts: float, vpi: float) -> float:
+    """Linear electro-optic response pi * volts / vpi, not wrapped."""
+    POSITIVE.check("modulator vpi", vpi)
+    return math.pi * volts / vpi
 
 
 def _mean_phase(pulse: Segment, arrival: float, vpi: float, sigma: float) -> float:

@@ -6,6 +6,7 @@ parser reads the same declaration.
 """
 
 import math
+import numbers
 from dataclasses import field, fields
 from typing import Callable, NamedTuple
 
@@ -46,7 +47,8 @@ FINITE = Rule("finite", math.isfinite)
 NONNEG = Rule(">= 0 and finite", lambda v: 0 <= v < math.inf)
 POSITIVE = Rule("positive and finite", lambda v: 0 < v < math.inf)
 UNIT_INTERVAL = Rule("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-SEED = Rule(">= 0", lambda v: v >= 0)
+# numpy integers pass; a bool is an Integral but no seed.
+SEED = Rule("an integer >= 0", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0)
 
 
 def ruled(default, rule: Rule):

@@ -108,75 +108,45 @@ def preset_expected_qber(config: RunConfig, sent_label: str) -> float:
     )
 
 
-def _hvd_encoder() -> EncoderConfig:
-    return EncoderConfig(
-        phase_jitter_sigma=HVD_BASE_JITTER,
-        drive_jitter_sigma=HVD_DRIVE_JITTER,
+def _preset(basis, mode, seeds, jitter, drift=DriftProfile(), rate_hz=1e4, duration_s=60.0) -> RunConfig:
+    """One bench run: 3 s analysis windows, the analyzer ``basis``, the
+    sequence ``mode``, (sequence, detection) ``seeds`` and (baseline,
+    drive) ``jitter`` in radians."""
+    return RunConfig(
+        encoder=EncoderConfig(phase_jitter_sigma=jitter[0], drive_jitter_sigma=jitter[1], drift=drift),
+        detector=DetectorParams(basis=basis),
+        repetition_rate_hz=rate_hz,
+        duration_s=duration_s,
+        window_s=3.0,
+        sequence_mode=mode,
+        sequence_seed=seeds[0],
+        detection_seed=seeds[1],
     )
+
+
+_HVD_JITTER = (HVD_BASE_JITTER, HVD_DRIVE_JITTER)
 
 
 def fig2_config() -> RunConfig:
     """Pseudorandom H/V/D stream analyzed in the HV basis."""
-    return RunConfig(
-        encoder=_hvd_encoder(),
-        detector=DetectorParams(basis=BASIS_HV),
-        repetition_rate_hz=1e4,
-        duration_s=60.0,
-        window_s=3.0,
-        sequence_mode=SEQUENCE_HVD,
-        sequence_seed=101,
-        detection_seed=201,
-    )
+    return _preset(BASIS_HV, SEQUENCE_HVD, (101, 201), _HVD_JITTER)
 
 
 def fig3_config() -> RunConfig:
     """Same encoder state as fig2, analyzer plate turned to the DA basis."""
-    return RunConfig(
-        encoder=_hvd_encoder(),
-        detector=DetectorParams(basis=BASIS_DA),
-        repetition_rate_hz=1e4,
-        duration_s=60.0,
-        window_s=3.0,
-        sequence_mode=SEQUENCE_HVD,
-        sequence_seed=101,
-        detection_seed=202,
-    )
+    return _preset(BASIS_DA, SEQUENCE_HVD, (101, 202), _HVD_JITTER)
 
 
 def fig4_config() -> RunConfig:
     """Alternating D/A stream with full-wave drive, analyzed in DA."""
-    return RunConfig(
-        encoder=EncoderConfig(
-            phase_jitter_sigma=DA_BASE_JITTER,
-            drive_jitter_sigma=DA_DRIVE_JITTER,
-        ),
-        detector=DetectorParams(basis=BASIS_DA),
-        repetition_rate_hz=1e4,
-        duration_s=60.0,
-        window_s=3.0,
-        sequence_mode=SEQUENCE_DA,
-        sequence_seed=104,
-        detection_seed=204,
-    )
+    return _preset(BASIS_DA, SEQUENCE_DA, (104, 204), (DA_BASE_JITTER, DA_DRIVE_JITTER))
 
 
 def drift_config() -> RunConfig:
     """Slow sinusoidal loop drift (amplitude pi over 10 minutes) for the
     loop-vs-inline comparison."""
-    return RunConfig(
-        encoder=EncoderConfig(
-            phase_jitter_sigma=HVD_BASE_JITTER,
-            drive_jitter_sigma=HVD_DRIVE_JITTER,
-            drift=DriftProfile.sinusoidal(math.pi, 600.0),
-        ),
-        detector=DetectorParams(basis=BASIS_HV),
-        repetition_rate_hz=1e3,
-        duration_s=300.0,
-        window_s=3.0,
-        sequence_mode=SEQUENCE_HVD,
-        sequence_seed=105,
-        detection_seed=205,
-    )
+    drift = DriftProfile.sinusoidal(math.pi, 600.0)
+    return _preset(BASIS_HV, SEQUENCE_HVD, (105, 205), _HVD_JITTER, drift, rate_hz=1e3, duration_s=300.0)
 
 
 PRESETS = {

@@ -1,5 +1,6 @@
 """Free-space analyzer (half-wave plate + PBS) and single-photon detection
-statistics for attenuated coherent pulses.
+statistics for attenuated coherent pulses. ``make_hwp`` builds the plate's
+transfer matrix.
 
 Two detectors, one per analyzer port, click independently. Each pulse ends
 in exactly one of four outcomes: a single click on either branch, a double
@@ -16,10 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elements import make_hwp
 from .encoder import EmittedPulse
 from .errors import NONNEG, UNIT_INTERVAL, check_fields, one_of, ruled
-from .polarization import transform
+from .polarization import TransferMatrix, transform
 
 BASIS_HV = "HV"
 BASIS_DA = "DA"
@@ -35,6 +35,18 @@ OUTCOMES = (OUTCOME_CLICK_0, OUTCOME_CLICK_1, OUTCOME_DOUBLE, OUTCOME_NONE)
 POLICY_DISCARD = "discard"
 POLICY_RANDOM = "random"
 POLICIES = one_of(POLICY_DISCARD, POLICY_RANDOM)
+
+def make_hwp(angle: float) -> TransferMatrix:
+    """Half-wave retarder with its fast axis at ``angle`` to horizontal.
+
+    theta = 0 leaves |H> and |V> alone; theta = pi/8 swaps the {H, V} and
+    {D, A} bases. Applying the same plate twice is the identity up to a
+    global phase.
+    """
+    c = math.cos(2.0 * angle)
+    s = math.sin(2.0 * angle)
+    return TransferMatrix(np.array([[c, s], [s, -c]], dtype=complex))
+
 
 # Analyzer branches: HWP at 0 (HV) or pi/8 (DA) followed by an ideal PBS.
 # Branch 0 is the transmitted port (H after the plate), branch 1 the

@@ -365,11 +365,12 @@ def sift_and_qber(
     as correct, the opposite branch as an error; empty outcomes drop out.
     Double clicks are discarded or coin-assigned per the policy (the coin
     stream is consumed in pulse-index order). Records must align with the
-    sequence by pulse index. The counting is the run kernel's tally.
+    sequence by pulse index, one per pulse. The counting is the run kernel's tally.
     """
     POSITIVE.check("window_s", window_s)
     POSITIVE.check("repetition_rate_hz", repetition_rate_hz)
     POLICIES.check("double_click_policy", double_click_policy)
+    SEED.check("assignment_seed", assignment_seed)
 
     n = len(sequence)
     codes = np.array([label_code(s) for s in sequence], dtype=np.int8)
@@ -378,6 +379,8 @@ def sift_and_qber(
         idx = rec.pulse_index
         if not 0 <= idx < n:
             raise ConfigurationError(f"record pulse_index {idx} outside the sequence of {n} pulses")
+        if index and idx == index[-1]:
+            raise ConfigurationError(f"two records for pulse_index {idx}")
         expected = LABEL_ORDER[codes[idx]]
         if rec.sent_label != expected:
             raise ConfigurationError(

@@ -155,7 +155,7 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     "line, message",
     [
         ("phase_jitter_sigma_rad = nan", "expected a number"),
-        ("sequence_seed = -1", "sequence_seed must be >= 0"),
+        ("sequence_seed = -1", "sequence_seed must be an integer >= 0, got -1"),
         ("duration_s = inf", "duration_s must be positive and finite"),
         ("delta_l_m = inf", "delta_l_m must be >= 0 and finite"),
         ("vpi_volts = inf", "vpi_volts must be positive and finite"),
@@ -316,7 +316,7 @@ def test_fuzzed_config_exits_0_2_or_3_without_traceback(lines, odd, random):
 def test_negative_seed_override_exits_2(tmp_path, capsys):
     status = run(CliInvocation(scenario="fig4", seed_override=-1, output_path=str(tmp_path / "o.csv")))
     assert status == 2
-    assert "sequence_seed must be >= 0" in capsys.readouterr().err
+    assert "sequence_seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_import_leaves_numpy_random_for_the_first_run():

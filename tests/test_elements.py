@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pognac.elements import (
+from pognac import (
     ElementParams,
     db_to_power,
     make_hwp,

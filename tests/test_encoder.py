@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pognac.elements import ElementParams
 from pognac.encoder import (
     FWHM_TO_SIGMA,
     GAUSS_TRUNCATION_SIGMA,
@@ -15,6 +14,7 @@ from pognac.encoder import (
     POST_PC_LABEL,
     SPEED_OF_LIGHT,
     DriftProfile,
+    ElementParams,
     EncoderConfig,
     emit_pulse,
     encode,

@@ -1,10 +1,17 @@
 import math
 from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 
-from pognac.elements import ElementParams, phase_from_voltage
-from pognac.encoder import DriftProfile, EncoderConfig, loop_transit_lead, phases_from_waveform
+from pognac.encoder import (
+    DriftProfile,
+    ElementParams,
+    EncoderConfig,
+    loop_transit_lead,
+    phase_from_voltage,
+    phases_from_waveform,
+)
 from pognac.errors import ConfigurationError
 from pognac.polarization import H
 from pognac.presets import expected_qber
@@ -68,9 +75,23 @@ def _phases(pulse, fwhm=1.2e-9):
         pytest.param(lambda: sift_and_qber([], ["D", "A"], NAN, 2.0), "window_s", id="window"),
         pytest.param(lambda: sift_and_qber([], ["D", "A"], 1.0, INF), "repetition_rate_hz", id="rate"),
         pytest.param(lambda: generate_sequence(SEQUENCE_HVD, 4, -1), "seed", id="seed"),
+        pytest.param(lambda: generate_sequence(SEQUENCE_HVD, 4, 2.0), "seed", id="seed-float"),
+        pytest.param(lambda: RunConfig(detection_seed=2.7), "detection_seed", id="seed-fraction"),
+        pytest.param(lambda: RunConfig(sequence_seed=True), "sequence_seed", id="seed-bool"),
+        pytest.param(lambda: sift_and_qber([], ["D"], 1.0, 1.0, assignment_seed=-1), "assignment_seed", id="coin-seed"),
+        pytest.param(
+            lambda: sift_and_qber([], ["D"], 1.0, 1.0, "random", assignment_seed=2.7),
+            "assignment_seed",
+            id="coin-seed-fraction",
+        ),
         pytest.param(lambda: expected_qber(1.0, 0.5, 0.0, 0.1, policy="coin"), "double_click_policy", id="policy"),
     ],
 )
 def test_entry_points_reject_out_of_range_values(call, message):
     with pytest.raises(ConfigurationError, match=f"^{message} must be "):
         call()
+
+
+def test_numpy_integer_seeds_pass():
+    assert RunConfig(detection_seed=np.int64(7), sequence_seed=np.uint32(8)).detection_seed == 7
+    assert generate_sequence(SEQUENCE_HVD, 4, np.int64(3)) == generate_sequence(SEQUENCE_HVD, 4, 3)

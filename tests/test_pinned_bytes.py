@@ -4,7 +4,9 @@ for shortened preset runs and random-policy custom runs.
 The pins were recorded with the per-pulse object pipeline that the
 window-streamed kernel replaced, except the multi-word seed pin, recorded
 with that kernel while it still built each window's generators with
-np.random.default_rng. A run is a pure function of (config, seeds), so
+np.random.default_rng, and the fig3 pin, recorded with the kernel whose
+drive model is a single pulse per slot, before presets were built by one
+constructor. A run is a pure function of (config, seeds), so
 however the work is chunked, vectorised or seeded these bytes must not
 move; a change that moves one changes results.
 """
@@ -37,6 +39,7 @@ detection_seed = 18
 # --seed override or None)
 CASES = {
     "fig2": ("fig2", 9.0, None),
+    "fig3": ("fig3", 9.0, None),
     "fig4": ("fig4", 9.0, None),
     "drift": ("drift", 30.0, None),
     "random_policy": ("custom", None, None),
@@ -53,6 +56,10 @@ PINS = {
     "fig2": {
         "out.csv": "0cf104133a2f161c2e1ef6000a85e426b61221b8bcae901dcc3ba69f5420b374",
         "stdout": "7461dd8022f703d22f4cf9c2fd2108cb8cd826d0da93d5b592a24240ee103246",
+    },
+    "fig3": {
+        "out.csv": "e754c02beb50e56fe47df3827963818fa6662cb6cb7fe78c16d24a6a96906251",
+        "stdout": "5375fe237f314abdbedf7416821a739d4250314d58ccd2bfdfe4fdb3996197cc",
     },
     "fig4": {
         "out.csv": "d7ed9bb6d678a50a22ababf58b02ab920b51d6902584fc1e13f34f25db84c86b",

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from pognac import runner
-from pognac.elements import ElementParams
 from pognac.encoder import (
     OUTPUT_PC,
     POST_PC_LABEL,
     DriftProfile,
+    ElementParams,
     EmittedPulse,
     EncoderConfig,
     emit_batch,
@@ -120,6 +120,13 @@ def test_sift_rejects_misaligned_records():
         sift_and_qber(bad, sequence, 1.0, 2.0)
     with pytest.raises(ConfigurationError):
         sift_and_qber([DetectionRecord(5, "D", BASIS_DA, "click_0")], sequence, 1.0, 2.0)
+
+
+def test_sift_rejects_a_repeated_pulse_index():
+    sequence = ["D", "A"]
+    twice = [DetectionRecord(0, "D", BASIS_DA, "click_0")] * 2
+    with pytest.raises(ConfigurationError, match="pulse_index 0"):
+        sift_and_qber(twice, sequence, 1.0, 2.0)
 
 
 def test_sift_double_click_policies():

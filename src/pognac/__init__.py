@@ -6,12 +6,16 @@ from .encoder import (
     ElementParams,
     EmittedPulse,
     EncoderConfig,
+    PatternSpec,
+    Segment,
     db_to_power,
     emit_pulse,
     encode,
     loop_transit_lead,
+    pattern_for_state,
     phase_from_voltage,
     phases_from_waveform,
+    quantize_delay,
 )
 from .errors import ConfigFileError, ConfigurationError
 from .polarization import (
@@ -39,12 +43,6 @@ from .runner import (
     generate_sequence,
     run_experiment,
     sift_and_qber,
-)
-from .waveform import (
-    PatternSpec,
-    Segment,
-    pattern_for_state,
-    quantize_delay,
 )
 
 __version__ = "0.1.0"

@@ -125,12 +125,13 @@ def _rule(config, path: str) -> Rule:
 def parse_config(text: str) -> RunConfig:
     """Build a RunConfig from flat ``key = value`` lines.
 
-    '#' starts a comment; blank lines are ignored; unknown keys, malformed
-    lines, and out-of-range values are rejected with their line number. An
-    empty document yields the full default configuration.
+    '#' starts a comment; blank lines are ignored; unknown or repeated
+    keys, malformed lines, and out-of-range values are rejected with their
+    line number. An empty document yields the full default configuration.
     """
     default = RunConfig()
     values = {}
+    first_line = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,6 +143,9 @@ def parse_config(text: str) -> RunConfig:
         value_text = value_text.strip()
         if key not in _KEY_TABLE:
             raise ConfigFileError(f"unknown key {key!r}", line_no)
+        if key in first_line:
+            raise ConfigFileError(f"repeated key {key!r}, first set on line {first_line[key]}", line_no)
+        first_line[key] = line_no
         path, exponent = _KEY_TABLE[key]
         try:
             if exponent is None:
@@ -193,8 +197,8 @@ def _load_config(inv: CliInvocation) -> RunConfig:
         if inv.config_path is None:
             raise ConfigurationError("the custom scenario requires --config")
         try:
-            text = Path(inv.config_path).read_text()
-        except OSError as exc:
+            text = Path(inv.config_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {inv.config_path}: {exc}") from None
         config = parse_config(text)
     else:

@@ -3,11 +3,12 @@
 The loop maps the drive timing onto a phase difference between the
 clockwise and counter-clockwise transits; only that difference reaches the
 output state, so disturbances common to both directions cancel. This module
-covers the encoder's parameters (its optical elements' losses and
-imperfections included, with the dB and drive-voltage conversions), transit
-timing, drive-to-phase conversion, the output-state algebra, a drift model
-to exercise the self-compensation, and pulse emission: the array kernel
-``emit_batch`` and its per-pulse adapter ``emit_pulse``.
+covers the label codes, the encoder's parameters (its optical elements'
+losses and imperfections included, with the dB and drive-voltage
+conversions), transit timing, the quantized-delay drive pulse that
+addresses one transit and the phases it imprints, the output-state algebra,
+a drift model to exercise the self-compensation, and pulse emission: the
+array kernel ``emit_batch`` and its per-pulse adapter ``emit_pulse``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .errors import FINITE, NONNEG, POSITIVE, ConfigurationError, Rule, check_fields, one_of, ruled
 from .polarization import SQRT_HALF, JonesVector, TransferMatrix, transform
-from .waveform import LABEL_CODES, PatternSpec, Segment, label_code, pattern_for_state
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -37,6 +37,20 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 GAUSS_TRUNCATION_SIGMA = 2.5
 _TRUNC_NORM = math.erf(GAUSS_TRUNCATION_SIGMA / math.sqrt(2.0))
 
+# Encoder-frame label of each int8 label code. Code c is also the c-th
+# receiver-frame label in row order (H, V, D, A) and the c-th draw of the
+# hvd-pseudorandom generator (L, R, D).
+LABEL_CODES = ("L", "R", "D", "A")
+
+
+def label_code(label: str) -> int:
+    """int8 code of an encoder-frame label."""
+    try:
+        return LABEL_CODES.index(label)
+    except ValueError:
+        raise ConfigurationError(f"unknown state label {label!r}; expected one of {LABEL_CODES}") from None
+
+
 # Receiver-frame names of the encoder-frame labels after the output
 # polarization controller.
 POST_PC_LABEL = {"D": "D", "L": "H", "R": "V", "A": "A"}
@@ -44,6 +58,11 @@ POST_PC_LABEL = {"D": "D", "L": "H", "R": "V", "A": "A"}
 # Encoder-frame phase difference phi_e - phi_l that nominally produces each
 # label (phi0 = 0 frame).
 NOMINAL_PHASE = {"D": 0.0, "L": math.pi / 2.0, "R": -math.pi / 2.0, "A": math.pi}
+
+MODE_TWO_LEVEL = "two-level"
+MODE_FOUR_LEVEL = "four-level"
+MODES = one_of(MODE_TWO_LEVEL, MODE_FOUR_LEVEL)
+DIRECTIONS = one_of("cw", "ccw")
 
 DRIFT_NONE = "none"
 DRIFT_LINEAR = "linear"
@@ -147,6 +166,23 @@ class ElementParams:
 
 
 @dataclass(frozen=True)
+class PatternSpec:
+    """Timing grid of the pulse generator driving the modulator.
+
+    a_pulse_direction picks which transit carries the full-wave pulse for
+    the A state in two-level mode (either works; CW is the default).
+    """
+
+    pulse_width: float = ruled(3e-9, POSITIVE)  # s
+    delay_granularity: float = ruled(100e-12, POSITIVE)  # s
+    mode: str = ruled(MODE_TWO_LEVEL, MODES)
+    a_pulse_direction: str = ruled("cw", DIRECTIONS)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
 class EncoderConfig:
     """Physical parameters of the encoder and its drive electronics.
 
@@ -202,6 +238,75 @@ def loop_transit_lead(delta_l_m: float, fiber_index: float) -> float:
     NONNEG.check("delta_l_m", delta_l_m)
     _GROUP_INDEX.check("fiber_index", fiber_index)
     return fiber_index * delta_l_m / SPEED_OF_LIGHT
+
+
+def quantize_delay(requested: float, granularity: float) -> float:
+    """Snap a delay to the nearest multiple of the generator granularity.
+
+    Exact half-step ties round toward zero. Idempotent.
+    """
+    POSITIVE.check("granularity", granularity)
+    steps = abs(requested) / granularity
+    if not math.isfinite(steps):
+        raise ConfigurationError(f"delay {requested} s is not a finite number of {granularity} s steps")
+    k = math.floor(steps)
+    if steps - k > 0.5:
+        k += 1
+    return math.copysign(k * granularity, requested)
+
+
+class Segment(NamedTuple):
+    start: float  # s
+    duration: float  # s
+    level: float  # V
+
+
+def pattern_for_state(
+    state: str,
+    spec: PatternSpec,
+    cw_arrival: float,
+    ccw_arrival: float,
+    vpi: float,
+) -> Segment | None:
+    """The one drive pulse selecting an output state, or None for no pulse.
+
+    Two-level mode: D no pulse; L a vpi/2 pulse on the CW transit; R a vpi/2
+    pulse on the CCW transit; A a vpi pulse on the transit named by
+    spec.a_pulse_direction. Four-level mode: a single pulse on the CW
+    transit at {0, vpi/2, vpi, 3 vpi/2} for {D, L, A, R}; the zero level is
+    no pulse.
+
+    Pulses are centered on the addressed arrival time, with the start
+    snapped to the delay granularity. The two transits must be separated by
+    more than one pulse width so a pulse can address exactly one of them.
+    """
+    label_code(state)  # rejects an unknown label
+    POSITIVE.check("vpi", vpi)
+    gap = abs(cw_arrival - ccw_arrival)
+    if not gap > spec.pulse_width:
+        raise ConfigurationError(
+            f"electrical pulse width {spec.pulse_width} s overlaps both transits: "
+            f"CW at {cw_arrival} s and CCW at {ccw_arrival} s are only {gap} s apart"
+        )
+
+    if spec.mode == MODE_TWO_LEVEL:
+        if state == "D":
+            return None
+        if state == "L":
+            center, level = cw_arrival, vpi / 2.0
+        elif state == "R":
+            center, level = ccw_arrival, vpi / 2.0
+        else:  # A
+            center = cw_arrival if spec.a_pulse_direction == "cw" else ccw_arrival
+            level = vpi
+    else:
+        level = {"D": 0.0, "L": vpi / 2.0, "A": vpi, "R": 1.5 * vpi}[state]
+        if level == 0.0:
+            return None
+        center = cw_arrival
+
+    start = quantize_delay(center - spec.pulse_width / 2.0, spec.delay_granularity)
+    return Segment(start, spec.pulse_width, level)
 
 
 def _profile_mass(a: float, b: float, center: float, sigma: float) -> float:

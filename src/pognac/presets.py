@@ -22,11 +22,10 @@ import math
 
 import numpy as np
 
-from .encoder import NOMINAL_PHASE, DriftProfile, EncoderConfig, label_table
-from .errors import ConfigurationError
+from .encoder import LABEL_CODES, NOMINAL_PHASE, DriftProfile, EncoderConfig, label_table
+from .errors import FINITE, NONNEG, UNIT_INTERVAL, ConfigurationError
 from .receiver import BASIS_DA, BASIS_HV, POLICIES, POLICY_DISCARD, POLICY_RANDOM, DetectorParams
 from .runner import LABEL_ORDER, SEQUENCE_DA, SEQUENCE_HVD, RunConfig
-from .waveform import LABEL_CODES
 
 # Solved jitter calibration, radians (see module docstring).
 HVD_BASE_JITTER = 0.2259
@@ -65,8 +64,14 @@ def expected_qber(
     exclusive error and correct click masses; under the random policy a
     fair coin gives half of the double-click mass d to each branch:
     (m_err + d/2) / (m_err + m_corr + d). Gauss-Hermite quadrature over
-    the jitter distribution.
+    the jitter distribution. nan when no sifted click is possible, as for
+    an empty window cell of a run.
     """
+    NONNEG.check("mu", mu)
+    UNIT_INTERVAL.check("efficiency", efficiency)
+    UNIT_INTERVAL.check("dark", dark)
+    NONNEG.check("jitter_sigma", jitter_sigma)
+    FINITE.check("phase_offset", phase_offset)
     POLICIES.check("double_click_policy", policy)
     nodes, weights = np.polynomial.hermite_e.hermegauss(_QUADRATURE_NODES)
     weights = weights / math.sqrt(2.0 * math.pi)  # normalize to a probability measure
@@ -81,8 +86,10 @@ def expected_qber(
     mass_corr = float(np.sum(weights * p_corr * (1.0 - p_err)))
     if policy == POLICY_RANDOM:
         double = float(np.sum(weights * p_err * p_corr))
-        return (mass_err + double / 2.0) / (mass_err + mass_corr + double)
-    return mass_err / (mass_err + mass_corr)
+        num, den = mass_err + double / 2.0, mass_err + mass_corr + double
+    else:
+        num, den = mass_err, mass_err + mass_corr
+    return num / den if den else math.nan
 
 
 def preset_expected_qber(config: RunConfig, sent_label: str) -> float:
@@ -91,9 +98,12 @@ def preset_expected_qber(config: RunConfig, sent_label: str) -> float:
 
     The phase offset is the label's drive residual, its phase difference
     phi_e - phi_l off the nominal one (wrapped into [-pi, pi]), less the
-    controller frame phase. Valid for labels measured in their own basis
-    (the deterministic ones).
+    controller frame phase. Only labels measured in their own basis (the
+    deterministic ones) have an expectation; any other label is rejected.
     """
+    basis = config.detector.basis
+    if sent_label not in LABEL_ORDER or sent_label not in basis:
+        raise ConfigurationError(f"label {sent_label!r} is not measured in its own basis by the {basis} analyzer")
     table = label_table(config.encoder)
     code = LABEL_ORDER.index(sent_label)
     nominal = NOMINAL_PHASE[LABEL_CODES[code]]

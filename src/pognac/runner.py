@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import POST_PC_LABEL, DriftProfile, EncoderConfig, emit_batch, label_table
+from .encoder import LABEL_CODES, POST_PC_LABEL, DriftProfile, EncoderConfig, emit_batch, label_code, label_table
 from .errors import POSITIVE, SEED, ConfigurationError, check_fields, one_of, ruled
 from .receiver import (
     OUTCOMES,
@@ -38,7 +38,6 @@ from .receiver import (
     joint_probabilities,
     sample_outcomes,
 )
-from .waveform import LABEL_CODES, label_code
 
 SEQUENCE_HVD = "hvd-pseudorandom"
 SEQUENCE_DA = "da-alternating"

@@ -37,7 +37,7 @@ from pognac.receiver import (
     simulate_detection,
 )
 from pognac.runner import drift_comparison, run_experiment
-from pognac.waveform import MODE_FOUR_LEVEL, MODE_TWO_LEVEL, PatternSpec, pattern_for_state
+from pognac.encoder import MODE_FOUR_LEVEL, MODE_TWO_LEVEL, PatternSpec, pattern_for_state
 
 
 def _report(num: int, ok: bool, detail: str):

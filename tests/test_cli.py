@@ -50,6 +50,11 @@ def test_parse_rejects_unknown_key():
         parse_config("\n\nturbo_mode = on\n")
 
 
+def test_parse_rejects_repeated_key_naming_its_first_line():
+    with pytest.raises(ConfigFileError, match="^line 3: repeated key 'duration_s', first set on line 1$"):
+        parse_config("duration_s = 6\nwindow_s = 3\nduration_s = 3\n")
+
+
 def test_parse_rejects_malformed_line():
     with pytest.raises(ConfigFileError, match="key = value"):
         parse_config("this is not a config\n")
@@ -141,6 +146,15 @@ def test_run_rejects_config_with_preset(tmp_path, capsys):
     cfg_path.write_text("")
     status = run(CliInvocation(scenario="fig2", config_path=str(cfg_path)))
     assert status == 2
+
+
+def test_run_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "u.cfg"
+    cfg_path.write_bytes(b"\xff\xfe = 3\n")
+    status = run(CliInvocation(scenario="custom", config_path=str(cfg_path), output_path=str(tmp_path / "o.csv")))
+    assert status == 2
+    assert f"cannot read config {cfg_path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):
@@ -300,10 +314,13 @@ def test_round_trip_every_key_off_its_default(drawn):
 def test_fuzzed_config_exits_0_2_or_3_without_traceback(lines, odd, random):
     lines = lines + odd
     random.shuffle(lines)
-    base = "repetition_rate_hz = 1e4\nduration_s = 0.02\nwindow_s = 1e-3\n"
+    base = ["repetition_rate_hz = 1e4", "duration_s = 0.02", "window_s = 1e-3"]
+    # Each key once (a repeat is rejected before its value is read): a
+    # fuzzed line takes the place of the earlier line with its key.
+    by_key = {line.partition("=")[0].strip(): line for line in base + lines}
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "fuzz.cfg"
-        cfg_path.write_text(base + "\n".join(lines) + "\n")
+        cfg_path.write_text("\n".join(by_key.values()) + "\n")
         stderr = io.StringIO()
         argv = ["--scenario", "custom", "--config", str(cfg_path), "--out", str(Path(tmp) / "o.csv")]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from pognac.encoder import (
     FWHM_TO_SIGMA,
     GAUSS_TRUNCATION_SIGMA,
+    MODE_FOUR_LEVEL,
+    MODE_TWO_LEVEL,
     NOMINAL_PHASE,
     OUTPUT_PC,
     POST_PC_LABEL,
@@ -16,20 +18,16 @@ from pognac.encoder import (
     DriftProfile,
     ElementParams,
     EncoderConfig,
+    PatternSpec,
+    Segment,
     emit_pulse,
     encode,
     loop_transit_lead,
+    pattern_for_state,
     phases_from_waveform,
 )
 from pognac.errors import ConfigurationError
 from pognac.polarization import A, D, H, JonesVector, L, R, V, fidelity, normalize
-from pognac.waveform import (
-    MODE_FOUR_LEVEL,
-    MODE_TWO_LEVEL,
-    PatternSpec,
-    Segment,
-    pattern_for_state,
-)
 
 from jones_oracles import apply, encode_with_drift, inline_encoder_reference, is_unitary
 

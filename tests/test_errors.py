@@ -8,16 +8,19 @@ from pognac.encoder import (
     DriftProfile,
     ElementParams,
     EncoderConfig,
+    PatternSpec,
+    Segment,
     loop_transit_lead,
+    pattern_for_state,
     phase_from_voltage,
     phases_from_waveform,
+    quantize_delay,
 )
 from pognac.errors import ConfigurationError
 from pognac.polarization import H
 from pognac.presets import expected_qber
 from pognac.receiver import DetectorParams, click_probabilities
 from pognac.runner import SEQUENCE_HVD, RunConfig, generate_sequence, sift_and_qber
-from pognac.waveform import PatternSpec, Segment, pattern_for_state, quantize_delay
 
 NAN, INF = math.nan, math.inf
 _CONFIG_CLASSES = (RunConfig, EncoderConfig, ElementParams, DriftProfile, DetectorParams, PatternSpec)
@@ -85,6 +88,13 @@ def _phases(pulse, fwhm=1.2e-9):
             id="coin-seed-fraction",
         ),
         pytest.param(lambda: expected_qber(1.0, 0.5, 0.0, 0.1, policy="coin"), "double_click_policy", id="policy"),
+        pytest.param(lambda: expected_qber(NAN, 0.5, 1e-5, 0.1), "mu", id="qber-mu"),
+        pytest.param(lambda: expected_qber(-1.0, 0.5, 1e-5, 0.1), "mu", id="qber-mu-negative"),
+        pytest.param(lambda: expected_qber(1.0, -0.5, 1e-5, 0.1), "efficiency", id="qber-efficiency"),
+        pytest.param(lambda: expected_qber(1.0, 0.5, 2.0, 0.1), "dark", id="qber-dark"),
+        pytest.param(lambda: expected_qber(1.0, 0.5, 1e-5, INF), "jitter_sigma", id="qber-jitter"),
+        pytest.param(lambda: expected_qber(1.0, 0.5, 1e-5, -0.1), "jitter_sigma", id="qber-jitter-negative"),
+        pytest.param(lambda: expected_qber(1.0, 0.5, 1e-5, 0.1, NAN), "phase_offset", id="qber-offset"),
     ],
 )
 def test_entry_points_reject_out_of_range_values(call, message):

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from pognac.cli import parse_config
-from pognac.presets import REFERENCE_QBER, preset_config, preset_expected_qber
+from pognac.encoder import MODE_FOUR_LEVEL
+from pognac.errors import ConfigurationError
+from pognac.presets import REFERENCE_QBER, expected_qber, preset_config, preset_expected_qber
 from pognac.runner import run_experiment
-from pognac.waveform import MODE_FOUR_LEVEL
 
 SHORT_WINDOWS_CFG = Path(__file__).parents[1] / "perfbench" / "short_windows.cfg"
 
@@ -77,3 +78,19 @@ def test_discard_expectation_keeps_the_calibrated_values():
     assert pinned.keys() == REFERENCE_QBER.keys()
     for (name, label), value in pinned.items():
         assert preset_expected_qber(preset_config(name), label) == value
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [("fig2", "D"), ("fig2", "A"), ("fig3", "H"), ("fig4", "V"), ("fig2", "L"), ("fig2", "HV"), ("fig2", "")],
+)
+def test_expectation_rejects_labels_outside_their_own_basis(name, label):
+    # fig2 measures D near 0.5, so an in-basis expectation for it would mislead
+    with pytest.raises(ConfigurationError, match="not measured in its own basis"):
+        preset_expected_qber(preset_config(name), label)
+
+
+@pytest.mark.parametrize("policy", ["discard", "random"])
+def test_expectation_is_nan_when_no_click_is_possible(policy):
+    assert math.isnan(expected_qber(0.0, 0.5, 0.0, 0.1, policy=policy))
+    assert math.isnan(expected_qber(1.0, 0.0, 0.0, 0.1, policy=policy))

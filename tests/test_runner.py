@@ -7,6 +7,7 @@ import pytest
 
 from pognac import runner
 from pognac.encoder import (
+    LABEL_CODES,
     OUTPUT_PC,
     POST_PC_LABEL,
     DriftProfile,
@@ -16,6 +17,7 @@ from pognac.encoder import (
     emit_batch,
     emit_pulse,
     loop_transit_lead,
+    pattern_for_state,
     phases_from_waveform,
 )
 from pognac.errors import ConfigurationError
@@ -38,7 +40,6 @@ from pognac.runner import (
     run_experiment,
     sift_and_qber,
 )
-from pognac.waveform import LABEL_CODES, pattern_for_state
 
 from jones_oracles import apply, encode_with_drift, inline_encoder_reference
 

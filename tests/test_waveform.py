@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pognac.encoder import phases_from_waveform
-from pognac.errors import ConfigurationError
-from pognac.waveform import (
+from pognac.encoder import (
     MODE_FOUR_LEVEL,
     MODE_TWO_LEVEL,
     PatternSpec,
     Segment,
     pattern_for_state,
+    phases_from_waveform,
     quantize_delay,
 )
+from pognac.errors import ConfigurationError
 
 NS = 1e-9
 PS = 1e-12

@@ -21,8 +21,7 @@ from pognac.presets import REFERENCE_QBER, expected_qber
 from pognac.runner import RunConfig
 
 MU = RunConfig().encoder.mean_photon_out()
-ETA = RunConfig().detector.efficiency
-DARK = RunConfig().detector.dark_count_prob_per_gate
+DETECTOR = RunConfig().detector
 
 H, V = REFERENCE_QBER["fig2", "H"], REFERENCE_QBER["fig2", "V"]
 HVD_D = REFERENCE_QBER["fig3", "D"]
@@ -31,13 +30,13 @@ DA_D, DA_A = REFERENCE_QBER["fig4", "D"], REFERENCE_QBER["fig4", "A"]
 
 def solve_sigma(target, lo=0.0, hi=1.0):
     """Bisection on the (monotone) analytic expectation."""
-    f_lo = expected_qber(MU, ETA, DARK, lo) - target
-    f_hi = expected_qber(MU, ETA, DARK, hi) - target
+    f_lo = expected_qber(MU, DETECTOR, lo) - target
+    f_hi = expected_qber(MU, DETECTOR, hi) - target
     if f_lo > 0 or f_hi < 0:
         raise ValueError(f"target {target} not bracketed by sigma in [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if expected_qber(MU, ETA, DARK, mid) < target:
+        if expected_qber(MU, DETECTOR, mid) < target:
             lo = mid
         else:
             hi = mid
@@ -45,7 +44,7 @@ def solve_sigma(target, lo=0.0, hi=1.0):
 
 
 def main():
-    print(f"mu = {MU:.6f}, eta = {ETA}, dark = {DARK}")
+    print(f"mu = {MU:.6f}, eta = {DETECTOR.efficiency}, dark = {DETECTOR.dark_count_prob_per_gate}")
 
     hv_target = 2 * H * V / (H + V)
     print(f"H/V compromise target: {hv_target:.6f}")
@@ -68,8 +67,8 @@ def main():
         ("hvd", round(hvd_base, 4), round(hvd_drive, 4), {"D": HVD_D, "H/V": hv_target}),
         ("da", round(da_base, 4), round(da_drive, 4), {"D": DA_D, "A": DA_A}),
     ]:
-        got_d = expected_qber(MU, ETA, DARK, base)
-        got_drv = expected_qber(MU, ETA, DARK, math.hypot(base, drive))
+        got_d = expected_qber(MU, DETECTOR, base)
+        got_drv = expected_qber(MU, DETECTOR, math.hypot(base, drive))
         print(f"{name}: rounded sigmas -> undriven {got_d:.6f}, driven {got_drv:.6f}, targets {targets}")
 
 

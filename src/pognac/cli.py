@@ -197,7 +197,8 @@ def _load_config(inv: CliInvocation) -> RunConfig:
         if inv.config_path is None:
             raise ConfigurationError("the custom scenario requires --config")
         try:
-            text = Path(inv.config_path).read_text(encoding="utf-8")
+            # utf-8-sig drops the byte-order mark some editors put before the first key
+            text = Path(inv.config_path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {inv.config_path}: {exc}") from None
         config = parse_config(text)

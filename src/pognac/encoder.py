@@ -222,10 +222,8 @@ class EncoderConfig:
 class EmittedPulse:
     """One attenuated pulse in flight toward the analyzer."""
 
-    emission_time_s: float
     state: JonesVector  # receiver frame (after the output controller)
     mean_photon_number: float
-    intended_label: str  # encoder frame: D, L, R, A
     sent_label: str  # receiver frame: D, H, V, A
 
 
@@ -456,4 +454,4 @@ def emit_pulse(label: str, t: float, config: EncoderConfig, rng_seed) -> Emitted
     normal = np.random.default_rng(rng_seed).standard_normal()
     h_re, h_im, v_re, v_im = emit_batch(code, t, normal, config)
     state = JonesVector(complex(h_re, h_im), complex(v_re, v_im))
-    return EmittedPulse(t, state, label_table(config).mu, label, POST_PC_LABEL[label])
+    return EmittedPulse(state, label_table(config).mu, POST_PC_LABEL[label])

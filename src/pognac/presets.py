@@ -13,7 +13,8 @@ solved from the D target and the extra drive jitter lifts H/V to the
 compromise 2*1.23*1.10/(1.23+1.10) = 1.161 % that sits within 6 % of both
 measured values. The alternating-D/A run used a cleaner pulse generator and
 gets its own, much smaller pair. Solved by scripts/calibrate_presets.py
-against expected_qber() below; rerun it if the model changes.
+against expected_qber() below, which reads the run kernel's label table
+and click model (receiver.click_marginals); rerun it if the model changes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 import numpy as np
 
 from .encoder import LABEL_CODES, NOMINAL_PHASE, DriftProfile, EncoderConfig, label_table
-from .errors import FINITE, NONNEG, UNIT_INTERVAL, ConfigurationError
-from .receiver import BASIS_DA, BASIS_HV, POLICIES, POLICY_DISCARD, POLICY_RANDOM, DetectorParams
+from .errors import FINITE, NONNEG, ConfigurationError
+from .receiver import BASIS_DA, BASIS_HV, POLICY_RANDOM, DetectorParams, click_marginals
 from .runner import LABEL_ORDER, SEQUENCE_DA, SEQUENCE_HVD, RunConfig
 
 # Solved jitter calibration, radians (see module docstring).
@@ -46,45 +47,30 @@ REFERENCE_QBER = {
 }
 
 
-def expected_qber(
-    mu: float,
-    efficiency: float,
-    dark: float,
-    jitter_sigma: float,
-    phase_offset: float = 0.0,
-    policy: str = POLICY_DISCARD,
-) -> float:
-    """Analytic mean sifted QBER of a state measured in its own basis.
+def expected_qber(mu: float, detector: DetectorParams, jitter_sigma: float, phase_offset: float = 0.0) -> float:
+    """Analytic mean sifted QBER of a state measured in its own basis by
+    ``detector``.
 
     The per-pulse phase error is e = delta + phase_offset with
     delta ~ N(0, jitter_sigma); the analyzer branch powers are sin^2(e/2)
-    and cos^2(e/2); detectors click independently with marginal
-    1 - (1 - dark) exp(-mu * efficiency * q). Under the discard policy
-    double clicks are excluded, so the expectation is the ratio of the
-    exclusive error and correct click masses; under the random policy a
-    fair coin gives half of the double-click mass d to each branch:
-    (m_err + d/2) / (m_err + m_corr + d). Gauss-Hermite quadrature over
-    the jitter distribution. nan when no sifted click is possible, as for
-    an empty window cell of a run.
+    and cos^2(e/2), and the detectors fire with the run kernel's own
+    click_marginals. Under the discard policy double clicks are excluded,
+    so the expectation is the ratio of the exclusive error and correct
+    click masses; under the random policy a fair coin gives half of the
+    double-click mass d to each branch: (m_err + d/2) / (m_err + m_corr + d).
+    Gauss-Hermite quadrature over the jitter distribution. nan when no
+    sifted click is possible, as for an empty window cell of a run.
     """
-    NONNEG.check("mu", mu)
-    UNIT_INTERVAL.check("efficiency", efficiency)
-    UNIT_INTERVAL.check("dark", dark)
     NONNEG.check("jitter_sigma", jitter_sigma)
     FINITE.check("phase_offset", phase_offset)
-    POLICIES.check("double_click_policy", policy)
     nodes, weights = np.polynomial.hermite_e.hermegauss(_QUADRATURE_NODES)
     weights = weights / math.sqrt(2.0 * math.pi)  # normalize to a probability measure
     e = jitter_sigma * nodes + phase_offset
     q_err = np.sin(e / 2.0) ** 2
-    q_corr = 1.0 - q_err
-    gain = mu * efficiency
-    keep = 1.0 - dark
-    p_err = 1.0 - keep * np.exp(-gain * q_err)
-    p_corr = 1.0 - keep * np.exp(-gain * q_corr)
+    p_err, p_corr = click_marginals(q_err, 1.0 - q_err, mu, detector)
     mass_err = float(np.sum(weights * p_err * (1.0 - p_corr)))
     mass_corr = float(np.sum(weights * p_corr * (1.0 - p_err)))
-    if policy == POLICY_RANDOM:
+    if detector.double_click_policy == POLICY_RANDOM:
         double = float(np.sum(weights * p_err * p_corr))
         num, den = mass_err + double / 2.0, mass_err + mass_corr + double
     else:
@@ -108,14 +94,7 @@ def preset_expected_qber(config: RunConfig, sent_label: str) -> float:
     code = LABEL_ORDER.index(sent_label)
     nominal = NOMINAL_PHASE[LABEL_CODES[code]]
     residual = math.remainder(table.phi_e[code] - table.phi_l[code] - nominal, 2.0 * math.pi)
-    return expected_qber(
-        table.mu,
-        config.detector.efficiency,
-        config.detector.dark_count_prob_per_gate,
-        float(table.sigma[code]),
-        phase_offset=residual - table.frame,
-        policy=config.detector.double_click_policy,
-    )
+    return expected_qber(table.mu, config.detector, float(table.sigma[code]), residual - table.frame)
 
 
 def _preset(basis, mode, seeds, jitter, drift=DriftProfile(), rate_hz=1e4, duration_s=60.0) -> RunConfig:

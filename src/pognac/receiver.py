@@ -4,9 +4,10 @@ transfer matrix.
 
 Two detectors, one per analyzer port, click independently. Each pulse ends
 in exactly one of four outcomes: a single click on either branch, a double
-click, or nothing. ``joint_probabilities`` and ``sample_outcomes`` are the
-array kernel; ``click_probabilities`` and ``simulate_detection`` apply it
-to one pulse.
+click, or nothing. ``branch_powers`` (the analyzer), ``click_marginals``
+(the one copy of the detectors' firing model), ``joint_probabilities`` and
+``sample_outcomes`` are the array kernel; ``click_probabilities``,
+``simulate_detection`` and ``presets.expected_qber`` call the same model.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .polarization import TransferMatrix, transform
 
 BASIS_HV = "HV"
 BASIS_DA = "DA"
+BASES = one_of(BASIS_HV, BASIS_DA)
 
 OUTCOME_CLICK_0 = "click_0"
 OUTCOME_CLICK_1 = "click_1"
@@ -65,7 +67,7 @@ class DetectorParams:
 
     efficiency: float = ruled(0.5, UNIT_INTERVAL)
     dark_count_prob_per_gate: float = ruled(1e-5, UNIT_INTERVAL)
-    basis: str = ruled(BASIS_HV, one_of(BASIS_HV, BASIS_DA))
+    basis: str = ruled(BASIS_HV, BASES)
     double_click_policy: str = ruled(POLICY_DISCARD, POLICIES)
 
     def __post_init__(self):
@@ -82,27 +84,30 @@ class ClickProbabilities(NamedTuple):
 class DetectionRecord(NamedTuple):
     pulse_index: int
     sent_label: str
-    basis: str
     outcome: str
 
 
-def joint_probabilities(h_re, h_im, v_re, v_im, mu: float, params: DetectorParams):
-    """Exclusive outcome probabilities (click_0, click_1, double, none) of
-    pulses in states (h, v) with mean photon number ``mu``.
+def branch_powers(h_re, h_im, v_re, v_im, basis: str):
+    """Powers (q0, q1) that the ``basis`` analyzer sends to branches 0 and 1
+    from states (h, v). Amplitudes may be floats or arrays."""
+    a0_re, a0_im, a1_re, a1_im = transform(_ANALYZER[BASES.check("basis", basis)], h_re, h_im, v_re, v_im)
+    return a0_re * a0_re + a0_im * a0_im, a1_re * a1_re + a1_im * a1_im
 
-    The analyzer projects each state onto the two branch powers q0, q1; each
-    detector then fires with marginal 1 - (1 - d) exp(-mu eta q). The four
-    outcomes are mutually exclusive and sum to one. Amplitudes may be
-    floats or arrays.
-    """
+
+def click_marginals(q0, q1, mu: float, params: DetectorParams):
+    """Firing probabilities (p0, p1) of the two detectors when branch powers
+    q0, q1 of a pulse with mean photon number ``mu`` reach them: each fires
+    with 1 - (1 - d) exp(-mu eta q), independently of the other."""
     NONNEG.check("mean photon number", mu)
-    a0_re, a0_im, a1_re, a1_im = transform(_ANALYZER[params.basis], h_re, h_im, v_re, v_im)
-    q0 = a0_re * a0_re + a0_im * a0_im
-    q1 = a1_re * a1_re + a1_im * a1_im
     gain = mu * params.efficiency
     keep = 1.0 - params.dark_count_prob_per_gate
-    p0 = 1.0 - keep * np.exp(-gain * q0)
-    p1 = 1.0 - keep * np.exp(-gain * q1)
+    return 1.0 - keep * np.exp(-gain * q0), 1.0 - keep * np.exp(-gain * q1)
+
+
+def joint_probabilities(q0, q1, mu: float, params: DetectorParams):
+    """Exclusive outcome probabilities (click_0, click_1, double, none) for
+    branch powers q0, q1 (see branch_powers); they sum to one."""
+    p0, p1 = click_marginals(q0, q1, mu, params)
     return p0 * (1.0 - p1), p1 * (1.0 - p0), p0 * p1, (1.0 - p0) * (1.0 - p1)
 
 
@@ -115,9 +120,9 @@ def sample_outcomes(probabilities, u):
 
 
 def click_probabilities(state, mu: float, params: DetectorParams) -> ClickProbabilities:
-    """joint_probabilities for one pulse in Jones state ``state``."""
-    p = joint_probabilities(state.h.real, state.h.imag, state.v.real, state.v.imag, mu, params)
-    return ClickProbabilities(*map(float, p))
+    """The outcome probabilities of one pulse in Jones state ``state``."""
+    q0, q1 = branch_powers(state.h.real, state.h.imag, state.v.real, state.v.imag, params.basis)
+    return ClickProbabilities(*map(float, joint_probabilities(q0, q1, mu, params)))
 
 
 def simulate_detection(
@@ -130,4 +135,4 @@ def simulate_detection(
     (a seed or a hot Generator)."""
     p = click_probabilities(pulse.state, pulse.mean_photon_number, params)
     code = sample_outcomes(p, np.random.default_rng(rng_seed).random())
-    return DetectionRecord(pulse_index, pulse.sent_label, params.basis, OUTCOMES[code])
+    return DetectionRecord(pulse_index, pulse.sent_label, OUTCOMES[code])

@@ -2,9 +2,9 @@
 accounting, and the drift comparison against an inline-modulator baseline.
 
 A run streams through one array kernel in blocks of at most _BLOCK pulses:
-int8 label codes -> emit_batch -> joint_probabilities -> sample_outcomes
-(uint8 outcome codes) -> one np.bincount per block over (window, label,
-outcome). Peak memory is O(block), not O(run).
+int8 label codes -> emit_batch -> branch_powers -> joint_probabilities ->
+sample_outcomes (uint8 outcome codes) -> one np.bincount per block over
+(window, label, outcome). Peak memory is O(block), not O(run).
 
 Randomness is organized so results are bit-identical however the work is
 chunked: the label sequence comes from one seeded generator, each analysis
@@ -35,6 +35,7 @@ from .receiver import (
     POLICY_DISCARD,
     POLICY_RANDOM,
     DetectorParams,
+    branch_powers,
     joint_probabilities,
     sample_outcomes,
 )
@@ -107,6 +108,8 @@ class RunConfig:
             raise ConfigurationError(
                 f"duration_s x repetition_rate_hz asks for {pulses:g} pulses, more than the cap of {_MAX_PULSES}"
             )
+        if self.n_pulses() == 0:
+            raise ConfigurationError(f"duration_s x repetition_rate_hz asks for {pulses:g} pulses, which rounds to 0")
         # the last window's index as a float, which overflows to inf, not int()
         last = ((self.n_pulses() - 1) / self.repetition_rate_hz) // self.window_s
         if last >= _MAX_WINDOWS:
@@ -448,8 +451,10 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 rng_emit.standard_normal(out=normals[a:b])
                 rng_det.random(out=uniforms[a:b])
             for inline, tally in zip(inline_flags, tallies):
+                # kept bound until the next block: freed earlier, glibc trims the heap and faults it in again
                 state = emit_batch(codes, t, normals, config.encoder, inline)
-                outcomes = sample_outcomes(joint_probabilities(*state, mu, det), uniforms).astype(np.uint8)
+                q0, q1 = branch_powers(*state, det.basis)
+                outcomes = sample_outcomes(joint_probabilities(q0, q1, mu, det), uniforms).astype(np.uint8)
                 tally.add(windows, codes, outcomes)
 
     # every pulse lands in some slot, so a label was sent iff it has counts
@@ -469,8 +474,8 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
 
 def run_experiment(config: RunConfig) -> RunResult:
     """Deterministic end-to-end pipeline, streamed in blocks: label codes ->
-    emit_batch -> joint_probabilities -> sample_outcomes -> windowed tally.
-    """
+    emit_batch -> branch_powers -> joint_probabilities -> sample_outcomes ->
+    windowed tally."""
     (result,) = _simulate(config, (False,))
     return result
 

@@ -257,7 +257,7 @@ def test_criterion_7_monte_carlo_vs_analytic():
         p = click_probabilities(state, mu, params)
         from pognac.encoder import EmittedPulse
 
-        pulse = EmittedPulse(0.0, state, mu, "D", "D")
+        pulse = EmittedPulse(state, mu, "D")
         gen = np.random.default_rng((9000, case))
         counts = {"click_0": 0, "click_1": 0, "double": 0, "none": 0}
         for _ in range(n):

@@ -157,6 +157,20 @@ def test_run_non_utf8_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_run_reads_a_config_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors write UTF-8 with a leading byte-order mark
+    text = "duration_s = 0.01\nwindow_s = 0.01\nrepetition_rate_hz = 2e4\n"
+    csvs = []
+    for name, data in [("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())]:
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_bytes(data)
+        out_path = tmp_path / f"{name}.csv"
+        assert run(CliInvocation(scenario="custom", config_path=str(cfg_path), output_path=str(out_path))) == 0
+        csvs.append(out_path.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert "# duration_s = 0.01" in csvs[1].decode()
+
+
 def test_run_bad_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("vpi_volts = -3\n")

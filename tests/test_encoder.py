@@ -248,7 +248,6 @@ def test_pattern_to_state_round_trip(mode, label):
 def test_emit_pulse_ideal(label):
     config = EncoderConfig()
     pulse = emit_pulse(label, 0.0, config, 99)
-    assert pulse.intended_label == label
     assert pulse.sent_label == POST_PC_LABEL[label]
     assert fidelity(pulse.state, RECEIVER_TARGET[label]) >= 1.0 - 1e-12
     assert pulse.mean_photon_number == pytest.approx(

@@ -19,7 +19,7 @@ from pognac.encoder import (
 from pognac.errors import ConfigurationError
 from pognac.polarization import H
 from pognac.presets import expected_qber
-from pognac.receiver import DetectorParams, click_probabilities
+from pognac.receiver import DetectorParams, branch_powers, click_probabilities
 from pognac.runner import SEQUENCE_HVD, RunConfig, generate_sequence, sift_and_qber
 
 NAN, INF = math.nan, math.inf
@@ -65,6 +65,7 @@ def _phases(pulse, fwhm=1.2e-9):
     "call, message",
     [
         pytest.param(lambda: click_probabilities(H, NAN, DetectorParams()), "mean photon number", id="mu"),
+        pytest.param(lambda: branch_powers(1.0, 0.0, 0.0, 0.0, "XY"), "basis", id="basis"),
         pytest.param(lambda: loop_transit_lead(NAN, 1.45), "delta_l_m", id="lead-length"),
         pytest.param(lambda: loop_transit_lead(1.0, NAN), "fiber_index", id="lead-index"),
         pytest.param(lambda: loop_transit_lead(1.0, 0.5), "fiber_index", id="lead-index-below-1"),
@@ -87,14 +88,14 @@ def _phases(pulse, fwhm=1.2e-9):
             "assignment_seed",
             id="coin-seed-fraction",
         ),
-        pytest.param(lambda: expected_qber(1.0, 0.5, 0.0, 0.1, policy="coin"), "double_click_policy", id="policy"),
-        pytest.param(lambda: expected_qber(NAN, 0.5, 1e-5, 0.1), "mu", id="qber-mu"),
-        pytest.param(lambda: expected_qber(-1.0, 0.5, 1e-5, 0.1), "mu", id="qber-mu-negative"),
-        pytest.param(lambda: expected_qber(1.0, -0.5, 1e-5, 0.1), "efficiency", id="qber-efficiency"),
-        pytest.param(lambda: expected_qber(1.0, 0.5, 2.0, 0.1), "dark", id="qber-dark"),
-        pytest.param(lambda: expected_qber(1.0, 0.5, 1e-5, INF), "jitter_sigma", id="qber-jitter"),
-        pytest.param(lambda: expected_qber(1.0, 0.5, 1e-5, -0.1), "jitter_sigma", id="qber-jitter-negative"),
-        pytest.param(lambda: expected_qber(1.0, 0.5, 1e-5, 0.1, NAN), "phase_offset", id="qber-offset"),
+        pytest.param(lambda: DetectorParams(double_click_policy="coin"), "double_click_policy", id="policy"),
+        pytest.param(lambda: expected_qber(NAN, DetectorParams(), 0.1), "mean photon number", id="qber-mu"),
+        pytest.param(lambda: expected_qber(-1.0, DetectorParams(), 0.1), "mean photon number", id="qber-mu-negative"),
+        pytest.param(lambda: DetectorParams(efficiency=-0.5), "efficiency", id="qber-efficiency"),
+        pytest.param(lambda: DetectorParams(dark_count_prob_per_gate=2.0), "dark_count_prob_per_gate", id="qber-dark"),
+        pytest.param(lambda: expected_qber(1.0, DetectorParams(), INF), "jitter_sigma", id="qber-jitter"),
+        pytest.param(lambda: expected_qber(1.0, DetectorParams(), -0.1), "jitter_sigma", id="qber-jitter-negative"),
+        pytest.param(lambda: expected_qber(1.0, DetectorParams(), 0.1, NAN), "phase_offset", id="qber-offset"),
     ],
 )
 def test_entry_points_reject_out_of_range_values(call, message):

@@ -9,6 +9,7 @@ from pognac.cli import parse_config
 from pognac.encoder import MODE_FOUR_LEVEL
 from pognac.errors import ConfigurationError
 from pognac.presets import REFERENCE_QBER, expected_qber, preset_config, preset_expected_qber
+from pognac.receiver import DetectorParams
 from pognac.runner import run_experiment
 
 SHORT_WINDOWS_CFG = Path(__file__).parents[1] / "perfbench" / "short_windows.cfg"
@@ -92,5 +93,5 @@ def test_expectation_rejects_labels_outside_their_own_basis(name, label):
 
 @pytest.mark.parametrize("policy", ["discard", "random"])
 def test_expectation_is_nan_when_no_click_is_possible(policy):
-    assert math.isnan(expected_qber(0.0, 0.5, 0.0, 0.1, policy=policy))
-    assert math.isnan(expected_qber(1.0, 0.0, 0.0, 0.1, policy=policy))
+    assert math.isnan(expected_qber(0.0, DetectorParams(0.5, 0.0, double_click_policy=policy), 0.1))
+    assert math.isnan(expected_qber(1.0, DetectorParams(0.0, 0.0, double_click_policy=policy), 0.1))

@@ -24,7 +24,7 @@ from test_polarization import states
 
 
 def pulse_of(state, mu, label="H"):
-    return EmittedPulse(0.0, state, mu, label, label)
+    return EmittedPulse(state, mu, label)
 
 
 def test_saturation():
@@ -131,7 +131,6 @@ def test_simulate_detection_deterministic():
     b = simulate_detection(pulse_of(D, 0.5), params, 42, pulse_index=7)
     assert a == b
     assert a.pulse_index == 7
-    assert a.basis == BASIS_HV
 
 
 def test_simulate_detection_frequencies_match_probabilities():

@@ -87,7 +87,7 @@ def test_generate_sequence_rejects_empty():
 
 def test_sift_ideal_d_in_da():
     sequence = ["D"] * 10
-    records = [DetectionRecord(i, "D", BASIS_DA, "click_0") for i in range(10)]
+    records = [DetectionRecord(i, "D", "click_0") for i in range(10)]
     series = sift_and_qber(records, sequence, 1.0, 10.0)
     stats = series.label_stats()["D"]
     assert stats.qber == 0.0
@@ -97,7 +97,7 @@ def test_sift_ideal_d_in_da():
 def test_sift_counts_errors_on_wrong_branch():
     sequence = ["D"] * 8
     records = [
-        DetectionRecord(i, "D", BASIS_DA, "click_1" if i < 2 else "click_0") for i in range(8)
+        DetectionRecord(i, "D", "click_1" if i < 2 else "click_0") for i in range(8)
     ]
     series = sift_and_qber(records, sequence, 1.0, 8.0)
     stats = series.label_stats()["D"]
@@ -116,23 +116,23 @@ def test_sift_empty_window_flagged_nan():
 
 def test_sift_rejects_misaligned_records():
     sequence = ["D", "A"]
-    bad = [DetectionRecord(1, "D", BASIS_DA, "click_0")]  # index 1 is A
+    bad = [DetectionRecord(1, "D", "click_0")]  # index 1 is A
     with pytest.raises(ConfigurationError):
         sift_and_qber(bad, sequence, 1.0, 2.0)
     with pytest.raises(ConfigurationError):
-        sift_and_qber([DetectionRecord(5, "D", BASIS_DA, "click_0")], sequence, 1.0, 2.0)
+        sift_and_qber([DetectionRecord(5, "D", "click_0")], sequence, 1.0, 2.0)
 
 
 def test_sift_rejects_a_repeated_pulse_index():
     sequence = ["D", "A"]
-    twice = [DetectionRecord(0, "D", BASIS_DA, "click_0")] * 2
+    twice = [DetectionRecord(0, "D", "click_0")] * 2
     with pytest.raises(ConfigurationError, match="pulse_index 0"):
         sift_and_qber(twice, sequence, 1.0, 2.0)
 
 
 def test_sift_double_click_policies():
     sequence = ["D"] * 6
-    records = [DetectionRecord(i, "D", BASIS_DA, "double") for i in range(6)]
+    records = [DetectionRecord(i, "D", "double") for i in range(6)]
     discard = sift_and_qber(records, sequence, 1.0, 6.0, "discard")
     assert discard.label_stats()["D"].n_discarded == 6
     assert math.isnan(discard.label_stats()["D"].qber)
@@ -257,6 +257,10 @@ def test_run_config_validation():
         RunConfig(repetition_rate_hz=0.0)
     with pytest.raises(ConfigurationError):
         RunConfig(sequence_mode="bogus")
+    # a run without pulses is rejected at construction, under the keys that ask for it
+    message = "^duration_s x repetition_rate_hz asks for 0.3 pulses, which rounds to 0"
+    with pytest.raises(ConfigurationError, match=message):
+        RunConfig(duration_s=0.3, window_s=0.3, repetition_rate_hz=1.0)
 
 
 def test_series_csv_schema():
@@ -362,7 +366,7 @@ def scalar_emitter(enc, inline):
         else:
             state = encode_with_drift(phi_e + delta, phi_l, phi0, enc.drift, t, t + lead)
         out = apply(OUTPUT_PC, state).state
-        return EmittedPulse(t, out, enc.mean_photon_out(), label, POST_PC_LABEL[label])
+        return EmittedPulse(out, enc.mean_photon_out(), POST_PC_LABEL[label])
 
     return emit
 

@@ -8,7 +8,9 @@ losses and imperfections included, with the dB and drive-voltage
 conversions), transit timing, the quantized-delay drive pulse that
 addresses one transit and the phases it imprints, the output-state algebra,
 a drift model to exercise the self-compensation, and pulse emission: the
-array kernel ``emit_batch`` and its per-pulse adapter ``emit_pulse``.
+array kernel ``phase_difference`` (all a run needs of a pulse), the Jones
+states ``emit_batch`` builds from it and their per-pulse adapter
+``emit_pulse``.
 """
 
 from __future__ import annotations
@@ -412,27 +414,39 @@ def label_table(config: EncoderConfig) -> LabelTable:
     return LabelTable(*columns, config.mean_photon_out(), lead, frame)
 
 
+def phase_difference(codes, t, normals, config: EncoderConfig, inline: bool = False):
+    """Loop phase difference x = phi_e - phi_l - frame of pulses with label
+    codes ``codes`` emitted at times ``t``, jitter and drift included: the
+    one quantity that reaches the output state (|H> + e^{ix} |V>)/sqrt(2).
+
+    ``normals`` holds one standard normal draw per pulse; sigma * z is how
+    numpy's own normal(0, sigma) scales it, so a stream drawn here matches
+    one drawn pulse by pulse. The loop drift is sampled at each direction's
+    modulator transit, so only theta(cw) - theta(ccw) survives; with
+    ``inline``, a single-pass modulator's drift theta(t) adds straight onto
+    the applied phase. Without drift ``t`` is not read (None will do).
+    Arguments may be arrays or scalars.
+    """
+    table = label_table(config)
+    x = table.phi_e[codes] + table.sigma[codes] * normals
+    if config.drift.kind == DRIFT_NONE:
+        return x - table.phi_l[codes] - table.frame
+    if inline:
+        return x - table.phi_l[codes] - table.frame + config.drift.theta(t)
+    return x + config.drift.theta_diff(t, t + table.lead) - table.phi_l[codes] - table.frame
+
+
 def emit_batch(codes, t, normals, config: EncoderConfig, inline: bool = False):
     """Receiver-frame states of pulses with label codes ``codes`` emitted at
     times ``t``, as amplitudes (h.real, h.imag, v.real, v.imag).
 
-    ``normals`` holds one standard normal draw per pulse; sigma * z is how
-    numpy's own normal(0, sigma) scales it, so a stream drawn here matches
-    one drawn pulse by pulse. The chain is encode() with the loop drift
-    sampled at each direction's modulator transit, so only theta(cw) -
-    theta(ccw) survives (or, with ``inline``, a single-pass modulator whose
-    drift theta(t) adds straight onto the applied phase) -> output
-    controller -> normalization. tests/jones_oracles.py spells the same
-    chain pulse by pulse with Jones vectors, in the same operation order,
-    and the kernel must match it bit for bit. Arguments may be arrays or
-    scalars.
+    The chain is encode() of phase_difference (see there for ``normals``,
+    the drift and ``inline``) -> output controller -> normalization.
+    tests/jones_oracles.py spells the same chain pulse by pulse with Jones
+    vectors, in the same operation order, and emit_batch must match it bit
+    for bit. Arguments may be arrays or scalars.
     """
-    table = label_table(config)
-    x = table.phi_e[codes] + table.sigma[codes] * normals
-    if inline:
-        x = x - table.phi_l[codes] - table.frame + config.drift.theta(t)
-    else:
-        x = x + config.drift.theta_diff(t, t + table.lead) - table.phi_l[codes] - table.frame
+    x = phase_difference(codes, t, normals, config, inline)
     loop_v_re, loop_v_im = np.cos(x) * SQRT_HALF, np.sin(x) * SQRT_HALF
     h_re, h_im, v_re, v_im = transform(OUTPUT_PC, SQRT_HALF, 0.0, loop_v_re, loop_v_im)
     n = np.sqrt((h_re * h_re + h_im * h_im) + (v_re * v_re + v_im * v_im))

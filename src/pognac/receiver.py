@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import EmittedPulse
+from .encoder import OUTPUT_PC, EmittedPulse
 from .errors import NONNEG, UNIT_INTERVAL, check_fields, one_of, ruled
 from .polarization import TransferMatrix, transform
 
@@ -54,6 +54,20 @@ def make_hwp(angle: float) -> TransferMatrix:
 # Branch 0 is the transmitted port (H after the plate), branch 1 the
 # reflected port; the effective projection bras are the HWP matrix rows.
 _ANALYZER = {BASIS_HV: make_hwp(0.0), BASIS_DA: make_hwp(math.pi / 8.0)}
+
+
+def _branch_offset(basis: str) -> float:
+    """Phase delta of the composite u = analyzer x output controller, as seen
+    from branch 0: a loop state (|H> + e^{ix} |V>)/sqrt(2) sends branch 0 the
+    power |u00 + u01 e^{ix}|^2 / 2 = (1 + cos(x + delta)) / 2, with
+    delta = arg(u01 / u00), provided the row is balanced (|u00| = |u01|)."""
+    u = _ANALYZER[basis].m @ OUTPUT_PC.m
+    assert math.isclose(abs(u[0, 0]), abs(u[0, 1]), rel_tol=1e-15), f"unbalanced {basis} analyzer row {u[0]}"
+    return float(np.angle(u[0, 1] / u[0, 0]))
+
+
+# delta of each basis: -pi/2 for HV, 0 (to an ulp) for DA.
+_BRANCH_OFFSET = {basis: _branch_offset(basis) for basis in _ANALYZER}
 
 
 @dataclass(frozen=True)
@@ -92,6 +106,15 @@ def branch_powers(h_re, h_im, v_re, v_im, basis: str):
     from states (h, v). Amplitudes may be floats or arrays."""
     a0_re, a0_im, a1_re, a1_im = transform(_ANALYZER[BASES.check("basis", basis)], h_re, h_im, v_re, v_im)
     return a0_re * a0_re + a0_im * a0_im, a1_re * a1_re + a1_im * a1_im
+
+
+def branch_probabilities(x, basis: str):
+    """Powers (q0, q1) that the ``basis`` analyzer sends to branches 0 and 1
+    from loop states of phase difference ``x`` (encoder.phase_difference):
+    branch_powers of the Jones states emit_batch builds, in closed form.
+    ``x`` may be a float or an array."""
+    c = 0.5 * np.cos(x + _BRANCH_OFFSET[BASES.check("basis", basis)])
+    return 0.5 + c, 0.5 - c
 
 
 def click_marginals(q0, q1, mu: float, params: DetectorParams):

@@ -2,9 +2,14 @@
 accounting, and the drift comparison against an inline-modulator baseline.
 
 A run streams through one array kernel in blocks of at most _BLOCK pulses:
-int8 label codes -> emit_batch -> branch_powers -> joint_probabilities ->
+int8 label codes -> phase_difference (the loop phase difference, the only
+thing of a pulse that reaches the analyzer) -> branch_probabilities (the
+analyzer's branch powers in closed form) -> joint_probabilities ->
 sample_outcomes (uint8 outcome codes) -> one np.bincount per block over
-(window, label, outcome). Peak memory is O(block), not O(run).
+(window, label, outcome). No Jones vector is built per pulse, emission
+times are computed only when the loop drifts, and each block's windows
+come from its window boundaries (_block_windows), not from every pulse.
+Peak memory is O(block), not O(run).
 
 Randomness is organized so results are bit-identical however the work is
 chunked: the label sequence comes from one seeded generator, each analysis
@@ -27,7 +32,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import LABEL_CODES, POST_PC_LABEL, DriftProfile, EncoderConfig, emit_batch, label_code, label_table
+from .encoder import (
+    DRIFT_NONE,
+    LABEL_CODES,
+    POST_PC_LABEL,
+    DriftProfile,
+    EncoderConfig,
+    label_code,
+    label_table,
+    phase_difference,
+)
 from .errors import POSITIVE, SEED, ConfigurationError, check_fields, one_of, ruled
 from .receiver import (
     OUTCOMES,
@@ -35,7 +49,7 @@ from .receiver import (
     POLICY_DISCARD,
     POLICY_RANDOM,
     DetectorParams,
-    branch_powers,
+    branch_probabilities,
     joint_probabilities,
     sample_outcomes,
 )
@@ -110,12 +124,7 @@ class RunConfig:
             )
         if self.n_pulses() == 0:
             raise ConfigurationError(f"duration_s x repetition_rate_hz asks for {pulses:g} pulses, which rounds to 0")
-        # the last window's index as a float, which overflows to inf, not int()
-        last = ((self.n_pulses() - 1) / self.repetition_rate_hz) // self.window_s
-        if last >= _MAX_WINDOWS:
-            raise ConfigurationError(
-                f"duration_s / window_s asks for {last + 1:g} windows, more than the cap of {_MAX_WINDOWS}"
-            )
+        _check_window_count(self.n_pulses(), self.repetition_rate_hz, self.window_s, "duration_s / window_s")
 
     def n_pulses(self) -> int:
         return int(round(self.duration_s * self.repetition_rate_hz))
@@ -211,6 +220,16 @@ class DriftComparisonResult(NamedTuple):
     inline: RunResult
 
 
+def _check_window_count(n_pulses: int, repetition_rate_hz: float, window_s: float, what: str) -> None:
+    """Reject ``n_pulses`` pulses whose windows would number more than
+    _MAX_WINDOWS, before a tally is allocated for them; ``what`` names the
+    inputs that ask for them."""
+    # the last window's index as a float, which overflows to inf (or nan), not int()
+    last = ((n_pulses - 1) / repetition_rate_hz) // window_s
+    if not last < _MAX_WINDOWS:
+        raise ConfigurationError(f"{what} asks for {last + 1:g} windows, more than the cap of {_MAX_WINDOWS}")
+
+
 def _n_windows(n_pulses: int, repetition_rate_hz: float, window_s: float) -> int:
     return int(((n_pulses - 1) / repetition_rate_hz) // window_s) + 1 if n_pulses else 0
 
@@ -218,6 +237,38 @@ def _n_windows(n_pulses: int, repetition_rate_hz: float, window_s: float) -> int
 def _windows(t, window_s: float):
     """Analysis window of each emission time."""
     return (t // window_s).astype(np.int64)
+
+
+def _block_windows(start: int, stop: int, rate: float, window_s: float):
+    """Windows of pulses start..stop-1, as _windows(i / rate, window_s) gives
+    them, in runs: (windows, edges, ids), where pulses edges[k]..edges[k+1]-1
+    of the block fall in window ids[k] and ``windows`` holds each pulse's
+    window. Only windows that hold pulses have a run.
+
+    The window index is monotone in the pulse index, so window w begins at
+    the first pulse whose window is w or later, predicted to be
+    ceil(w * window_s * rate). The formula is evaluated only at the five
+    pulses within two of each prediction, which must bracket the boundary.
+    A block that spans as many windows as it has pulses (windows shorter
+    than a pulse period), or with a bracket that misses, is evaluated pulse
+    by pulse, so memory stays O(block) whatever window_s * rate is.
+    """
+    n = stop - start
+    lo, hi = _windows(np.array([start, stop - 1]) / rate, window_s).tolist()
+    if hi - lo < n - 1:
+        w = np.arange(lo + 1, hi + 1)
+        bracket = np.ceil(w * window_s * rate).astype(np.int64)[:, None] + np.arange(-2, 3)
+        before = _windows(bracket / rate, window_s) < w[:, None]
+        if before[:, 0].all() and not before[:, -1].any():
+            edges = np.concatenate(([start], bracket[:, 0] + before.sum(axis=1), [stop])) - start
+            counts = np.diff(edges)
+            full = np.flatnonzero(counts)
+            ids = lo + full
+            edges = np.append(edges[full], n)
+            return np.repeat(ids, counts[full]), edges, ids
+    windows = _windows(np.arange(start, stop) / rate, window_s)
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(windows)) + 1, [n]))
+    return windows, edges, windows[edges[:-1]]
 
 
 def _label_blocks(mode: str, n_pulses: int, seed):
@@ -367,7 +418,8 @@ def sift_and_qber(
     as correct, the opposite branch as an error; empty outcomes drop out.
     Double clicks are discarded or coin-assigned per the policy (the coin
     stream is consumed in pulse-index order). Records must align with the
-    sequence by pulse index, one per pulse. The counting is the run kernel's tally.
+    sequence by pulse index, one per pulse. The counting is the run kernel's tally,
+    capped at _MAX_WINDOWS windows as a run is.
     """
     POSITIVE.check("window_s", window_s)
     POSITIVE.check("repetition_rate_hz", repetition_rate_hz)
@@ -375,6 +427,8 @@ def sift_and_qber(
     SEED.check("assignment_seed", assignment_seed)
 
     n = len(sequence)
+    if n:
+        _check_window_count(n, repetition_rate_hz, window_s, "len(sequence) / repetition_rate_hz / window_s")
     codes = np.array([label_code(s) for s in sequence], dtype=np.int8)
     index, outcomes = [], []
     for rec in sorted(records, key=lambda r: r.pulse_index):
@@ -426,6 +480,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     n_windows = _n_windows(n, rate, window_s)
     tallies = [_Tally(n_windows, det.double_click_policy, config.detection_seed) for _ in inline_flags]
     mu = label_table(config.encoder).mu
+    drifts = config.encoder.drift.kind != DRIFT_NONE
     pulses = np.zeros(n_windows, dtype=np.int64)
     seeds = _window_streams(config.detection_seed, n_windows)
     Generator, PCG64 = np.random.Generator, np.random.PCG64
@@ -433,15 +488,14 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     start = 0
     with _out_of_range_is_a_config_error():
         for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed):
-            t = np.arange(start, start + len(codes)) / rate
-            start += len(codes)
-            windows = _windows(t, window_s)
-            lo = int(windows[0])
-            pulses[lo : int(windows[-1]) + 1] += np.bincount(windows - lo)
+            stop = start + len(codes)
+            t = np.arange(start, stop) / rate if drifts else None
+            windows, edges, ids = _block_windows(start, stop, rate, window_s)
+            start = stop
+            pulses[ids] += np.diff(edges)
             normals = np.empty(len(codes))
             uniforms = np.empty(len(codes))
-            cuts = [0, *(np.flatnonzero(np.diff(windows)) + 1).tolist(), len(codes)]
-            for a, b, w in zip(cuts, cuts[1:], windows[cuts[:-1]].tolist()):
+            for a, b, w in zip(edges.tolist(), edges[1:].tolist(), ids.tolist()):
                 # a window continued from the previous block keeps its streams;
                 # windows without pulses get none
                 if w != open_window:
@@ -451,9 +505,8 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 rng_emit.standard_normal(out=normals[a:b])
                 rng_det.random(out=uniforms[a:b])
             for inline, tally in zip(inline_flags, tallies):
-                # kept bound until the next block: freed earlier, glibc trims the heap and faults it in again
-                state = emit_batch(codes, t, normals, config.encoder, inline)
-                q0, q1 = branch_powers(*state, det.basis)
+                # q0, q1 kept bound until the next block: freed earlier, glibc trims the heap and faults it in again
+                q0, q1 = branch_probabilities(phase_difference(codes, t, normals, config.encoder, inline), det.basis)
                 outcomes = sample_outcomes(joint_probabilities(q0, q1, mu, det), uniforms).astype(np.uint8)
                 tally.add(windows, codes, outcomes)
 
@@ -474,8 +527,8 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
 
 def run_experiment(config: RunConfig) -> RunResult:
     """Deterministic end-to-end pipeline, streamed in blocks: label codes ->
-    emit_batch -> branch_powers -> joint_probabilities -> sample_outcomes ->
-    windowed tally."""
+    phase_difference -> branch_probabilities -> joint_probabilities ->
+    sample_outcomes -> windowed tally."""
     (result,) = _simulate(config, (False,))
     return result
 

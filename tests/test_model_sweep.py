@@ -3,8 +3,10 @@ in-range configs.
 
 Each drawn config runs about 10^5 pulses without drift; every label that
 its analyzer measures in its own basis must land within a Bonferroni bound
-of preset_expected_qber. On a few hundred pulses of the same config the
-kernel's states must also equal the Jones-vector chain bit for bit.
+of preset_expected_qber. On a few hundred pulses of the same config
+emit_batch's states must also equal the Jones-vector chain bit for bit,
+and the run kernel's closed-form branch powers must match the analyzer
+applied to those states to within 1e-15.
 """
 
 import math
@@ -13,9 +15,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pognac.encoder import LABEL_CODES, ElementParams, EncoderConfig, PatternSpec, emit_batch, loop_transit_lead
+from pognac.encoder import (
+    LABEL_CODES,
+    ElementParams,
+    EncoderConfig,
+    PatternSpec,
+    emit_batch,
+    loop_transit_lead,
+    phase_difference,
+)
 from pognac.presets import preset_expected_qber
-from pognac.receiver import DetectorParams
+from pognac.receiver import DetectorParams, branch_powers, branch_probabilities
 from pognac.runner import SEQUENCE_DA, SEQUENCE_HVD, RunConfig, run_experiment
 
 from test_runner import scalar_emitter
@@ -113,6 +123,10 @@ def test_expectation_and_kernel_agree_over_random_configs(config):
         h_re, h_im, v_re, v_im = emit_batch(codes, np.zeros(len(codes)), normals, enc, inline)
         assert [complex(a, b) for a, b in zip(h_re.tolist(), h_im.tolist())] == [s.h for s in expected]
         assert [complex(a, b) for a, b in zip(v_re.tolist(), v_im.tolist())] == [s.v for s in expected]
+        closed = branch_probabilities(phase_difference(codes, None, normals, enc, inline), config.detector.basis)
+        jones = branch_powers(h_re, h_im, v_re, v_im, config.detector.basis)
+        for q, ref in zip(closed, jones):
+            assert np.max(np.abs(q - ref)) <= 1e-15
 
     summary = run_experiment(config).summary
     checked = [label for label in summary if label in config.detector.basis]

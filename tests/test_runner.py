@@ -1,9 +1,12 @@
 import math
 from dataclasses import replace
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pognac import runner
 from pognac.encoder import (
@@ -18,6 +21,7 @@ from pognac.encoder import (
     emit_pulse,
     loop_transit_lead,
     pattern_for_state,
+    phase_difference,
     phases_from_waveform,
 )
 from pognac.errors import ConfigurationError
@@ -27,6 +31,8 @@ from pognac.receiver import (
     BASIS_DA,
     DetectionRecord,
     DetectorParams,
+    branch_powers,
+    branch_probabilities,
     click_probabilities,
     simulate_detection,
 )
@@ -143,6 +149,19 @@ def test_sift_double_click_policies():
     assert stats.n_correct + stats.n_error == 6
     again = sift_and_qber(records, sequence, 1.0, 6.0, "random", assignment_seed=3)
     assert again.rows == random_policy.rows
+
+
+def test_sift_rejects_more_windows_than_the_cap():
+    # ten pulses at 1 Hz in windows of 0.1 us ask for about 9e7 windows, a 17 GB tally
+    assert runner._n_windows(10, 1.0, 1e-7) > runner._MAX_WINDOWS
+    with pytest.raises(ConfigurationError, match="asks for 9e\\+07 windows, more than the cap of 1048576"):
+        sift_and_qber([], ["D"] * 10, 1e-7, 1.0)
+    # a rate so low that the last pulse's time overflows to inf
+    with pytest.raises(ConfigurationError, match="more than the cap of 1048576"):
+        sift_and_qber([], ["D"] * 10, 1.0, 1e-320)
+    # the cap itself is allowed
+    assert runner._n_windows(2, 1.0, 1.0 / (runner._MAX_WINDOWS - 1)) == runner._MAX_WINDOWS
+    runner._check_window_count(2, 1.0, 1.0 / (runner._MAX_WINDOWS - 1), "two pulses")
 
 
 def test_window_counts_sum_to_run_totals():
@@ -385,6 +404,27 @@ def test_emit_batch_matches_scalar_building_blocks_bitwise(inline):
     assert [complex(a, b) for a, b in zip(v_re.tolist(), v_im.tolist())] == [s.v for s in expected]
 
 
+@pytest.mark.parametrize("basis", ["HV", "DA"])
+@pytest.mark.parametrize("inline", [False, True])
+@pytest.mark.parametrize("drift", [DriftProfile.none(), DriftProfile.sinusoidal(math.pi, 10.0)], ids=["none", "sin"])
+def test_closed_form_branch_powers_match_the_jones_path(basis, inline, drift):
+    enc = EncoderConfig(
+        phase_jitter_sigma=2.0,  # spreads every label's phase difference over the circle
+        drive_jitter_sigma=0.3,
+        elements=ElementParams(pc_phase_phi0=0.4, pc_misalignment_eps=-0.05),
+        drift=drift,
+    )
+    rng = np.random.default_rng(8)
+    n = 50_000
+    codes = rng.integers(0, 4, size=n)
+    t = rng.uniform(0.0, 20.0, size=n)
+    normals = rng.standard_normal(n)
+    closed = branch_probabilities(phase_difference(codes, t, normals, enc, inline), basis)
+    jones = branch_powers(*emit_batch(codes, t, normals, enc, inline), basis)
+    for q, ref in zip(closed, jones):
+        assert np.max(np.abs(q - ref)) <= 1e-15
+
+
 def window_reversed_series(config, inline):
     """Criterion 8's check: emit and detect pulse by pulse, windows in
     reverse order, each window on its own (detection_seed, w, 0|1) streams."""
@@ -438,6 +478,47 @@ def test_windows_without_pulses_skip_their_streams():
     # a pulse every 1 ms, windows of 0.3 ms: most windows hold no pulse
     config = random_policy_config(repetition_rate_hz=1e3, duration_s=0.05, window_s=3e-4)
     assert window_reversed_series(config, inline=False) == run_experiment(config).series
+
+
+@st.composite
+def block_windows_cases(draw):
+    kind = draw(st.sampled_from(["shorter than a pulse period", "non-integral", "grid"]))
+    if kind == "grid":
+        # a whole number of pulses per window, as the presets' decimal grids have
+        rate = draw(st.sampled_from([1e3, 1e4, 1e5, 1e6, 1e7, 1e9]))
+        window_s = draw(st.integers(1, 300)) * draw(st.sampled_from([1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0]))
+    else:
+        rate = 10.0 ** draw(st.floats(0.0, 10.0))
+        exponent = draw(st.floats(-4.0, 0.0) if kind == "shorter than a pulse period" else st.floats(0.0, 4.0))
+        window_s = 10.0**exponent / rate
+    start = draw(st.sampled_from([0, 10**4, 10**7, 10**9, 10**11])) + draw(st.integers(0, 10**5))
+    # at most one block of pulses, so memory stays bounded whatever the draw
+    stop = start + draw(st.sampled_from([runner._BLOCK, runner._BLOCK - 1, 1000, 7, 2, 1]))
+    return rate, window_s, start, stop
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(block_windows_cases())
+def test_block_windows_match_the_per_pulse_formula(case):
+    rate, window_s, start, stop = case
+    expected = runner._windows(np.arange(start, stop) / rate, window_s)
+    sizes = []
+
+    def windows(t, window_s, formula=runner._windows):
+        sizes.append(np.size(t))
+        return formula(t, window_s)
+
+    with mock.patch.object(runner, "_windows", windows):
+        got, edges, ids = runner._block_windows(start, stop, rate, window_s)
+    np.testing.assert_array_equal(got, expected)
+    run_starts = np.flatnonzero(np.diff(expected)) + 1
+    np.testing.assert_array_equal(edges, np.concatenate(([0], run_starts, [stop - start])))
+    np.testing.assert_array_equal(ids, expected[edges[:-1]])
+    # a block spanning fewer windows than it has pulses is evaluated at its
+    # two ends and five pulses around each boundary, not pulse by pulse
+    boundaries = int(expected[-1] - expected[0])
+    if boundaries < stop - start - 1:
+        assert sizes == [2, 5 * boundaries]
 
 
 def rendered_row_by_row(rows):

@@ -428,12 +428,17 @@ def phase_difference(codes, t, normals, config: EncoderConfig, inline: bool = Fa
     Arguments may be arrays or scalars.
     """
     table = label_table(config)
+    drifts = config.drift.kind != DRIFT_NONE
     x = table.phi_e[codes] + table.sigma[codes] * normals
-    if config.drift.kind == DRIFT_NONE:
-        return x - table.phi_l[codes] - table.frame
-    if inline:
-        return x - table.phi_l[codes] - table.frame + config.drift.theta(t)
-    return x + config.drift.theta_diff(t, t + table.lead) - table.phi_l[codes] - table.frame
+    # in place on arrays, in the operation order of
+    # x (+ loop drift) - phi_l - frame (+ inline drift)
+    if drifts and not inline:
+        x += config.drift.theta_diff(t, t + table.lead)
+    x -= table.phi_l[codes]
+    x -= table.frame
+    if drifts and inline:
+        x += config.drift.theta(t)
+    return x
 
 
 def emit_batch(codes, t, normals, config: EncoderConfig, inline: bool = False):

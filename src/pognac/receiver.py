@@ -4,10 +4,15 @@ transfer matrix.
 
 Two detectors, one per analyzer port, click independently. Each pulse ends
 in exactly one of four outcomes: a single click on either branch, a double
-click, or nothing. ``branch_powers`` (the analyzer), ``click_marginals``
-(the one copy of the detectors' firing model), ``joint_probabilities`` and
+click, or nothing. ``branch_probabilities`` (the analyzer, in closed form;
+``branch_powers`` for any Jones state), ``click_marginals`` (the one copy
+of the detectors' firing model), ``joint_probabilities`` and
 ``sample_outcomes`` are the array kernel; ``click_probabilities``,
 ``simulate_detection`` and ``presets.expected_qber`` call the same model.
+The chance of no click does not depend on the pulse's phase, so
+``click_bound`` gives one threshold per run: a uniform draw at or above it
+samples none for every pulse, and the run kernel runs the chain only on
+draws below it.
 """
 
 from __future__ import annotations
@@ -131,15 +136,39 @@ def joint_probabilities(q0, q1, mu: float, params: DetectorParams):
     """Exclusive outcome probabilities (click_0, click_1, double, none) for
     branch powers q0, q1 (see branch_powers); they sum to one."""
     p0, p1 = click_marginals(q0, q1, mu, params)
-    return p0 * (1.0 - p1), p1 * (1.0 - p0), p0 * p1, (1.0 - p0) * (1.0 - p1)
+    n0, n1 = 1.0 - p0, 1.0 - p1
+    return p0 * n1, p1 * n0, p0 * p1, n0 * n1
+
+
+def click_bound(mu: float, params: DetectorParams) -> float:
+    """A uniform draw at or above this bound samples no click, whatever the
+    phase of the pulse of mean photon number ``mu``.
+
+    The detectors fire independently, so neither does with probability
+    (1 - p0)(1 - p1) = (1 - d)^2 exp(-mu eta (q0 + q1)) (see
+    click_marginals), and q0 + q1 = 1 for every state: the chance of no
+    click, (1 - d)^2 exp(-mu eta), is the same for every pulse.
+    sample_outcomes returns none whenever u >= c0 + c1 + double =
+    1 - (1 - d)^2 exp(-mu eta), up to the rounding of the computed sum,
+    which the 1e-9 margin covers (over 400 random detectors x 200 k phases
+    in both bases, the computed sum was at most 3.6e-16 above the exact one).
+    """
+    NONNEG.check("mean photon number", mu)
+    keep = 1.0 - params.dark_count_prob_per_gate
+    return 1.0 - keep * keep * math.exp(-mu * params.efficiency) + 1e-9
 
 
 def sample_outcomes(probabilities, u):
-    """Outcome codes (index into OUTCOMES) for uniform draws ``u``: the first
-    outcome whose cumulative probability exceeds u, none when no click does."""
+    """Outcome codes (uint8, index into OUTCOMES) for uniform draws ``u``:
+    the first outcome whose cumulative probability exceeds u, none when no
+    click does."""
     c0, c1, double, _ = probabilities
     c01 = c0 + c1
-    return 3 - (u < c0) - (u < c01) - (u < c01 + double)
+    codes = np.full(np.shape(u), 3, dtype=np.uint8)
+    codes -= u < c0
+    codes -= u < c01
+    codes -= u < c01 + double
+    return codes
 
 
 def click_probabilities(state, mu: float, params: DetectorParams) -> ClickProbabilities:

@@ -9,7 +9,12 @@ sample_outcomes (uint8 outcome codes) -> one np.bincount per block over
 (window, label, outcome). No Jones vector is built per pulse, emission
 times are computed only when the loop drifts, and each block's windows
 come from its window boundaries (_block_windows), not from every pulse.
-Peak memory is O(block), not O(run).
+The chance of no click is the same for every pulse, so the analyzer and
+detector chain runs only on the pulses whose detection draw lies below
+receiver.click_bound; the others end in none, as sample_outcomes would
+have given them. The tally takes each block's window runs (edges, ids)
+and offsets the (label, outcome) index per run, not per pulse. Peak
+memory is O(block), not O(run).
 
 Randomness is organized so results are bit-identical however the work is
 chunked: the label sequence comes from one seeded generator, each analysis
@@ -50,6 +55,7 @@ from .receiver import (
     POLICY_RANDOM,
     DetectorParams,
     branch_probabilities,
+    click_bound,
     joint_probabilities,
     sample_outcomes,
 )
@@ -239,11 +245,17 @@ def _windows(t, window_s: float):
     return (t // window_s).astype(np.int64)
 
 
+def _runs(windows):
+    """(edges, ids) of a non-decreasing window array: entries
+    edges[k]..edges[k+1]-1 fall in window ids[k]."""
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(windows)) + 1, [len(windows)]))
+    return edges, windows[edges[:-1]]
+
+
 def _block_windows(start: int, stop: int, rate: float, window_s: float):
     """Windows of pulses start..stop-1, as _windows(i / rate, window_s) gives
-    them, in runs: (windows, edges, ids), where pulses edges[k]..edges[k+1]-1
-    of the block fall in window ids[k] and ``windows`` holds each pulse's
-    window. Only windows that hold pulses have a run.
+    them, in runs: (edges, ids), where pulses edges[k]..edges[k+1]-1 of the
+    block fall in window ids[k]. Only windows that hold pulses have a run.
 
     The window index is monotone in the pulse index, so window w begins at
     the first pulse whose window is w or later, predicted to be
@@ -261,14 +273,9 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float):
         before = _windows(bracket / rate, window_s) < w[:, None]
         if before[:, 0].all() and not before[:, -1].any():
             edges = np.concatenate(([start], bracket[:, 0] + before.sum(axis=1), [stop])) - start
-            counts = np.diff(edges)
-            full = np.flatnonzero(counts)
-            ids = lo + full
-            edges = np.append(edges[full], n)
-            return np.repeat(ids, counts[full]), edges, ids
-    windows = _windows(np.arange(start, stop) / rate, window_s)
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(windows)) + 1, [n]))
-    return windows, edges, windows[edges[:-1]]
+            full = np.flatnonzero(np.diff(edges))
+            return np.append(edges[full], n), lo + full
+    return _runs(_windows(np.arange(start, stop) / rate, window_s))
 
 
 def _label_blocks(mode: str, n_pulses: int, seed):
@@ -374,14 +381,20 @@ class _Tally:
         if double_click_policy == POLICY_RANDOM:
             self.coin = np.random.default_rng((assignment_seed, 0xD0))
 
-    def add(self, windows, codes, outcomes) -> None:
-        slots = outcomes.astype(np.int64)
+    def add(self, edges, ids, codes, outcomes) -> None:
+        """Count pulses with label codes ``codes`` and outcome codes
+        ``outcomes``, whose entries edges[k]..edges[k+1]-1 fall in window
+        ids[k] (see _runs)."""
+        flat = codes * np.intp(_SLOTS)
+        flat += outcomes
         if self.coin is not None:
             doubles = np.flatnonzero(outcomes == _DOUBLE)
-            slots[doubles] = _COIN_0 + self.coin.integers(0, 2, size=len(doubles))
-        lo, hi = int(windows[0]), int(windows[-1]) + 1
-        flat = ((windows - lo) * len(LABEL_CODES) + codes) * _SLOTS + slots
-        counts = np.bincount(flat, minlength=(hi - lo) * len(LABEL_CODES) * _SLOTS)
+            flat[doubles] += (_COIN_0 - _DOUBLE) + self.coin.integers(0, 2, size=len(doubles))
+        cell = len(LABEL_CODES) * _SLOTS
+        lo, hi = int(ids[0]), int(ids[-1]) + 1
+        if len(ids) > 1:
+            flat += np.repeat((ids - lo) * cell, np.diff(edges))
+        counts = np.bincount(flat, minlength=(hi - lo) * cell)
         self.cells[lo:hi] += counts.reshape(hi - lo, len(LABEL_CODES), _SLOTS)
 
     def sifted(self):
@@ -450,8 +463,8 @@ def sift_and_qber(
     tally = _Tally(_n_windows(n, repetition_rate_hz, window_s), double_click_policy, assignment_seed)
     if index:
         index = np.array(index)
-        windows = _windows(index / repetition_rate_hz, window_s)
-        tally.add(windows, codes[index], np.array(outcomes, dtype=np.uint8))
+        edges, ids = _runs(_windows(index / repetition_rate_hz, window_s))
+        tally.add(edges, ids, codes[index], np.array(outcomes, dtype=np.uint8))
     return tally.series(np.unique(codes).tolist(), window_s)
 
 
@@ -480,6 +493,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     n_windows = _n_windows(n, rate, window_s)
     tallies = [_Tally(n_windows, det.double_click_policy, config.detection_seed) for _ in inline_flags]
     mu = label_table(config.encoder).mu
+    bound = click_bound(mu, det)
     drifts = config.encoder.drift.kind != DRIFT_NONE
     pulses = np.zeros(n_windows, dtype=np.int64)
     seeds = _window_streams(config.detection_seed, n_windows)
@@ -490,7 +504,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
         for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed):
             stop = start + len(codes)
             t = np.arange(start, stop) / rate if drifts else None
-            windows, edges, ids = _block_windows(start, stop, rate, window_s)
+            edges, ids = _block_windows(start, stop, rate, window_s)
             start = stop
             pulses[ids] += np.diff(edges)
             normals = np.empty(len(codes))
@@ -499,16 +513,24 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 # a window continued from the previous block keeps its streams;
                 # windows without pulses get none
                 if w != open_window:
-                    s_emit, s_det = next(islice(seeds, w - open_window - 1, None))
+                    if w == open_window + 1:
+                        s_emit, s_det = next(seeds)
+                    else:
+                        s_emit, s_det = next(islice(seeds, w - open_window - 1, None))
                     rng_emit, rng_det = Generator(PCG64(s_emit)), Generator(PCG64(s_det))
                     open_window = w
                 rng_emit.standard_normal(out=normals[a:b])
                 rng_det.random(out=uniforms[a:b])
+            # only these pulses can click (see click_bound); the others end in none
+            live = np.flatnonzero(uniforms < bound)
+            u_live = uniforms[live]
             for inline, tally in zip(inline_flags, tallies):
+                x = phase_difference(codes, t, normals, config.encoder, inline)
+                outcomes = np.full(len(codes), _NONE, dtype=np.uint8)
                 # q0, q1 kept bound until the next block: freed earlier, glibc trims the heap and faults it in again
-                q0, q1 = branch_probabilities(phase_difference(codes, t, normals, config.encoder, inline), det.basis)
-                outcomes = sample_outcomes(joint_probabilities(q0, q1, mu, det), uniforms).astype(np.uint8)
-                tally.add(windows, codes, outcomes)
+                q0, q1 = branch_probabilities(x[live], det.basis)
+                outcomes[live] = sample_outcomes(joint_probabilities(q0, q1, mu, det), u_live)
+                tally.add(edges, ids, codes, outcomes)
 
     # every pulse lands in some slot, so a label was sent iff it has counts
     labels = np.flatnonzero(tallies[0].cells.sum(axis=(0, 2))).tolist()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pognac.encoder import EmittedPulse
 from pognac.errors import ConfigurationError
+from pognac import receiver
 from pognac.polarization import D, H
 from pognac.receiver import (
     BASIS_DA,
@@ -16,7 +17,10 @@ from pognac.receiver import (
     OUTCOME_DOUBLE,
     OUTCOME_NONE,
     DetectorParams,
+    branch_probabilities,
+    click_bound,
     click_probabilities,
+    joint_probabilities,
     simulate_detection,
 )
 
@@ -116,6 +120,28 @@ def test_click_probability_monotone_in_eta_and_dark(eta_a, eta_b, dark_a, dark_b
         D, 0.5, DetectorParams(efficiency=eta_hi, dark_count_prob_per_gate=d_hi)
     )
     assert p_hi.click_0 + p_hi.double >= p_lo.click_0 + p_lo.double - 1e-12
+
+
+@given(
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([BASIS_HV, BASIS_DA]),
+)
+@settings(max_examples=200, deadline=None)
+def test_click_bound_covers_every_phase(mu, eta, dark, basis):
+    params = DetectorParams(efficiency=eta, dark_count_prob_per_gate=dark, basis=basis)
+    # a dense phase grid, plus the phases that put cos(x + delta) at +1 and -1
+    delta = receiver._BRANCH_OFFSET[basis]
+    x = np.concatenate((np.linspace(-2 * np.pi, 2 * np.pi, 40_001), [-delta, np.pi - delta]))
+    q0, q1 = branch_probabilities(x, basis)
+    assert q0.max() == q1.max() == 1.0 and q0.min() == q1.min() == 0.0
+    c0, c1, double, _ = joint_probabilities(q0, q1, mu, params)
+    clicks = (c0 + c1) + double  # the threshold below which sample_outcomes gives a click
+    bound = click_bound(mu, params)
+    assert np.all(clicks < bound)
+    # ... and the bound sits within its margin of the click probability
+    assert np.all(clicks > bound - 2e-9)
 
 
 def test_simulate_detection_certain_none():

@@ -360,6 +360,7 @@ def test_block_size_does_not_change_results(monkeypatch, block):
     expected = run_experiment(config)
     monkeypatch.setattr(runner, "_BLOCK", block)
     assert run_experiment(config) == expected
+    assert expected.series == window_reversed_series(config, inline=False)
 
 
 def scalar_emitter(enc, inline):
@@ -459,6 +460,35 @@ def test_window_reversed_per_pulse_matches_random_policy():
     assert window_reversed_series(config, inline=False) == run_experiment(config).series
 
 
+@pytest.mark.parametrize(
+    "detector, live",
+    [
+        # the click bound is above 1: every pulse can click, and each double-clicks
+        (DetectorParams(dark_count_prob_per_gate=1.0, double_click_policy="random"), "all"),
+        # the click bound is 1e-9: no pulse of the run can click
+        (DetectorParams(efficiency=0.0, dark_count_prob_per_gate=0.0), "none"),
+    ],
+    ids=["every-pulse-live", "no-pulse-live"],
+)
+def test_click_bound_extremes_match_the_per_pulse_reference(detector, live):
+    config = random_policy_config(duration_s=0.05, detector=detector)
+    sizes = []
+
+    def chain(x, basis, formula=branch_probabilities):
+        sizes.append(np.size(x))
+        return formula(x, basis)
+
+    with mock.patch.object(runner, "branch_probabilities", chain):
+        series = run_experiment(config).series
+    assert series == window_reversed_series(config, inline=False)
+    n = config.n_pulses()
+    outcomes = np.sum(series.outcome_counts, axis=0).tolist()
+    if live == "all":
+        assert sum(sizes) == n and outcomes == [0, 0, n, 0]
+    else:
+        assert sum(sizes) == 0 and outcomes == [0, 0, 0, n]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
 def test_window_streams_equal_default_rng(seed):
     # windows from 40 below a _BLOCK boundary (a multiple of _SEED_BATCH) to the last
@@ -509,8 +539,8 @@ def test_block_windows_match_the_per_pulse_formula(case):
         return formula(t, window_s)
 
     with mock.patch.object(runner, "_windows", windows):
-        got, edges, ids = runner._block_windows(start, stop, rate, window_s)
-    np.testing.assert_array_equal(got, expected)
+        edges, ids = runner._block_windows(start, stop, rate, window_s)
+    np.testing.assert_array_equal(np.repeat(ids, np.diff(edges)), expected)
     run_starts = np.flatnonzero(np.diff(expected)) + 1
     np.testing.assert_array_equal(edges, np.concatenate(([0], run_starts, [stop - start])))
     np.testing.assert_array_equal(ids, expected[edges[:-1]])

@@ -8,7 +8,8 @@ losses and imperfections included, with the dB and drive-voltage
 conversions), transit timing, the quantized-delay drive pulse that
 addresses one transit and the phases it imprints, the output-state algebra,
 a drift model to exercise the self-compensation, and pulse emission: the
-array kernel ``phase_difference`` (all a run needs of a pulse), the Jones
+array kernel ``phase_difference`` (all a run needs of a pulse), the bound
+``phase_bound`` that proves it cannot overflow on a block, the Jones
 states ``emit_batch`` builds from it and their per-pulse adapter
 ``emit_pulse``.
 """
@@ -425,7 +426,10 @@ def phase_difference(codes, t, normals, config: EncoderConfig, inline: bool = Fa
     modulator transit, so only theta(cw) - theta(ccw) survives; with
     ``inline``, a single-pass modulator's drift theta(t) adds straight onto
     the applied phase. Without drift ``t`` is not read (None will do).
-    Arguments may be arrays or scalars.
+    Arguments may be arrays or scalars. Every operation is elementwise, so
+    a pulse's x has the same bits whichever other pulses share the call:
+    the run kernel calls this on the pulses that can click only, where
+    phase_bound proves that no pulse of the block can overflow here.
     """
     table = label_table(config)
     drifts = config.drift.kind != DRIFT_NONE
@@ -439,6 +443,57 @@ def phase_difference(codes, t, normals, config: EncoderConfig, inline: bool = Fa
     if drifts and inline:
         x += config.drift.theta(t)
     return x
+
+
+# Bound on every intermediate of phase_difference below which no operation
+# of it can overflow (see phase_bound); the largest double is 1.8e308.
+PHASE_RANGE = 1e300
+
+
+def phase_bound(config: EncoderConfig, t_max: float, z_max: float) -> float:
+    """An upper bound, below PHASE_RANGE, on the magnitude of every
+    intermediate of phase_difference, loop and inline, for pulses with
+    |normal| <= ``z_max`` emitted at 0 <= t <= ``t_max``; inf when it cannot
+    give one.
+
+    x is phi_e + sigma z, plus the drift, minus phi_l and frame, so every
+    partial sum is at most max|phi_e| + max|phi_l| + |frame| +
+    max(sigma) z_max + D, where D bounds the drift terms:
+    - sinusoidal: each theta is amplitude * sin(2 pi t / period_s), so a
+      difference of two is at most 2 amplitude; 2 pi t and its quotient by
+      period_s, at most 2 pi (t_max + |lead|) / period_s, are intermediates
+      too;
+    - linear: the loop adds rate * (t - (t + lead)), the inline modulator
+      amplitude + rate * t. The computed t + lead can round away from t by
+      far more than lead, so only |t - (t + lead)| <= 2 (t_max + |lead|) is
+      used: D = |amplitude| + 2 |rate| (t_max + |lead|); t and t + lead
+      themselves are at most t_max + |lead|.
+    Each computed intermediate is a few rounded sums and products of these
+    terms, so it exceeds its exact value by a few relative 2^-53, which the
+    relative margin of 1e-12 covers. A bound below PHASE_RANGE thus keeps
+    every computed value a factor 1e8 below the largest double: nothing
+    overflows, so no inf appears to make an operation invalid (inf - inf,
+    0 * inf, sin(inf)), and the one division is by period_s > 0. Times and
+    normals are finite, as the run kernel draws them. The bound is computed
+    in Python floats, where an overflow gives inf, not an exception, and a
+    nan from inf * 0 fails the range check as inf does.
+    """
+    table = label_table(config)
+    bound = (
+        max(map(abs, table.phi_e.tolist()))
+        + max(map(abs, table.phi_l.tolist()))
+        + abs(table.frame)
+        + max(table.sigma.tolist()) * z_max
+    )
+    drift = config.drift
+    span = t_max + abs(table.lead)
+    if drift.kind == DRIFT_SINUSOIDAL:
+        turn = 2.0 * math.pi * span
+        bound = max(bound + 2.0 * drift.amplitude_rad, turn, turn / drift.period_s)
+    elif drift.kind == DRIFT_LINEAR:
+        bound = max(bound + abs(drift.amplitude_rad) + 2.0 * abs(drift.rate_rad_per_s) * span, span)
+    bound *= 1.0 + 1e-12
+    return bound if bound < PHASE_RANGE else math.inf
 
 
 def emit_batch(codes, t, normals, config: EncoderConfig, inline: bool = False):

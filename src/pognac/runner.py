@@ -9,10 +9,15 @@ sample_outcomes (uint8 outcome codes) -> one np.bincount per block over
 (window, label, outcome). No Jones vector is built per pulse, emission
 times are computed only when the loop drifts, and each block's windows
 come from its window boundaries (_block_windows), not from every pulse.
-The chance of no click is the same for every pulse, so the analyzer and
-detector chain runs only on the pulses whose detection draw lies below
-receiver.click_bound; the others end in none, as sample_outcomes would
-have given them. The tally takes each block's window runs (edges, ids)
+The chance of no click is the same for every pulse, so the live set, the
+pulses whose detection draw lies below receiver.click_bound, is taken
+right after the draws; the others end in none, as sample_outcomes would
+have given them. The whole chain from phase_difference on runs on the
+live set alone wherever encoder.phase_bound proves that no pulse of the
+block can overflow in phase_difference; elsewhere phase_difference runs
+on every pulse, so an overflow is reported as it always was. From a
+click bound of one half, the live set is the whole block, as a slice.
+The tally takes each block's window runs (edges, ids)
 and offsets the (label, outcome) index per run, not per pulse. Peak
 memory is O(block), not O(run).
 
@@ -40,11 +45,13 @@ import numpy as np
 from .encoder import (
     DRIFT_NONE,
     LABEL_CODES,
+    PHASE_RANGE,
     POST_PC_LABEL,
     DriftProfile,
     EncoderConfig,
     label_code,
     label_table,
+    phase_bound,
     phase_difference,
 )
 from .errors import POSITIVE, SEED, ConfigurationError, check_fields, one_of, ruled
@@ -98,6 +105,11 @@ _SEED_BATCH = 1 << 10
 # branch 0 or branch 1.
 _CLICK_0, _CLICK_1, _DOUBLE, _NONE, _COIN_0, _COIN_1 = range(6)
 _SLOTS = 6
+
+# Click bound (receiver.click_bound) from which every pulse counts as live:
+# gathering a live set of most of a block costs more than running the
+# chain on the few pulses that cannot click, which it gives none anyway.
+_ALL_LIVE = 0.5
 
 
 @dataclass(frozen=True)
@@ -259,14 +271,17 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float):
 
     The window index is monotone in the pulse index, so window w begins at
     the first pulse whose window is w or later, predicted to be
-    ceil(w * window_s * rate). The formula is evaluated only at the five
-    pulses within two of each prediction, which must bracket the boundary.
+    ceil(w * window_s * rate). A block inside one window is one run;
+    otherwise the formula is evaluated only at the five pulses within two
+    of each prediction, which must bracket the boundary.
     A block that spans as many windows as it has pulses (windows shorter
     than a pulse period), or with a bracket that misses, is evaluated pulse
     by pulse, so memory stays O(block) whatever window_s * rate is.
     """
     n = stop - start
     lo, hi = _windows(np.array([start, stop - 1]) / rate, window_s).tolist()
+    if lo == hi:
+        return np.array([0, n]), np.array([lo])
     if hi - lo < n - 1:
         w = np.arange(lo + 1, hi + 1)
         bracket = np.ceil(w * window_s * rate).astype(np.int64)[:, None] + np.arange(-2, 3)
@@ -276,6 +291,12 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float):
             full = np.flatnonzero(np.diff(edges))
             return np.append(edges[full], n), lo + full
     return _runs(_windows(np.arange(start, stop) / rate, window_s))
+
+
+def _block_times(start: int, stop: int, rate: float, which):
+    """Emission times of the pulses ``which`` (an index array or a slice) of
+    the block start..stop-1: the bits of np.arange(start, stop)[which] / rate."""
+    return (start + which if isinstance(which, np.ndarray) else np.arange(start, stop)[which]) / rate
 
 
 def _label_blocks(mode: str, n_pulses: int, seed):
@@ -488,13 +509,14 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     its own (detection_seed, w, 0|1) streams, so any window-parallel
     execution reproduces the same outcomes.
     """
-    rate, window_s, det = config.repetition_rate_hz, config.window_s, config.detector
+    rate, window_s, det, enc = config.repetition_rate_hz, config.window_s, config.detector, config.encoder
     n = config.n_pulses()
     n_windows = _n_windows(n, rate, window_s)
     tallies = [_Tally(n_windows, det.double_click_policy, config.detection_seed) for _ in inline_flags]
-    mu = label_table(config.encoder).mu
+    mu = label_table(enc).mu
     bound = click_bound(mu, det)
-    drifts = config.encoder.drift.kind != DRIFT_NONE
+    all_live = bound >= _ALL_LIVE
+    drifts = enc.drift.kind != DRIFT_NONE
     pulses = np.zeros(n_windows, dtype=np.int64)
     seeds = _window_streams(config.detection_seed, n_windows)
     Generator, PCG64 = np.random.Generator, np.random.PCG64
@@ -503,9 +525,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     with _out_of_range_is_a_config_error():
         for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed):
             stop = start + len(codes)
-            t = np.arange(start, stop) / rate if drifts else None
             edges, ids = _block_windows(start, stop, rate, window_s)
-            start = stop
             pulses[ids] += np.diff(edges)
             normals = np.empty(len(codes))
             uniforms = np.empty(len(codes))
@@ -522,13 +542,23 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 rng_emit.standard_normal(out=normals[a:b])
                 rng_det.random(out=uniforms[a:b])
             # only these pulses can click (see click_bound); the others end in none
-            live = np.flatnonzero(uniforms < bound)
+            live = slice(None) if all_live else np.flatnonzero(uniforms < bound)
+            # phase_difference is elementwise, so it runs on the live pulses
+            # alone where phase_bound proves that no pulse of the block can
+            # overflow there; elsewhere on all of them, so an overflow raises as before
+            on, pick = live, slice(None)
+            if not all_live:
+                z_max = float(max(-normals.min(), normals.max()))
+                if phase_bound(enc, (stop - 1) / rate, z_max) >= PHASE_RANGE:
+                    on, pick = slice(None), live
+            args = codes[on], _block_times(start, stop, rate, on) if drifts else None, normals[on]
+            start = stop
             u_live = uniforms[live]
             for inline, tally in zip(inline_flags, tallies):
-                x = phase_difference(codes, t, normals, config.encoder, inline)
+                x = phase_difference(*args, enc, inline)[pick]
                 outcomes = np.full(len(codes), _NONE, dtype=np.uint8)
                 # q0, q1 kept bound until the next block: freed earlier, glibc trims the heap and faults it in again
-                q0, q1 = branch_probabilities(x[live], det.basis)
+                q0, q1 = branch_probabilities(x, det.basis)
                 outcomes[live] = sample_outcomes(joint_probabilities(q0, q1, mu, det), u_live)
                 tally.add(edges, ids, codes, outcomes)
 

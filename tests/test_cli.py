@@ -224,6 +224,12 @@ def test_ideal_pbs_extinction_may_be_infinite():
             "drift_amplitude_rad = 1e308\ndrift_period_s = 1e-308\n",
             "the configuration takes the simulation out of floating-point range: overflow",
         ),
+        # no pulse can click, so only the range proof sends the phase difference to every pulse
+        (
+            "repetition_rate_hz = 1e4\nduration_s = 0.02\nwindow_s = 1e-3\ndetector_efficiency = 0\n"
+            "dark_count_prob = 0\nphase_jitter_sigma_rad = 1e308\n",
+            "the configuration takes the simulation out of floating-point range: overflow encountered in multiply",
+        ),
     ],
 )
 def test_run_rejects_runs_above_the_caps(tmp_path, capsys, text, message):

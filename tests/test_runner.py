@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 
 from pognac import runner
 from pognac.encoder import (
+    DRIFT_LINEAR,
+    DRIFT_NONE,
+    DRIFT_SINUSOIDAL,
     LABEL_CODES,
     OUTPUT_PC,
+    PHASE_RANGE,
     POST_PC_LABEL,
     DriftProfile,
     ElementParams,
@@ -19,8 +23,10 @@ from pognac.encoder import (
     EncoderConfig,
     emit_batch,
     emit_pulse,
+    label_table,
     loop_transit_lead,
     pattern_for_state,
+    phase_bound,
     phase_difference,
     phases_from_waveform,
 )
@@ -33,6 +39,7 @@ from pognac.receiver import (
     DetectorParams,
     branch_powers,
     branch_probabilities,
+    click_bound,
     click_probabilities,
     simulate_detection,
 )
@@ -489,6 +496,163 @@ def test_click_bound_extremes_match_the_per_pulse_reference(detector, live):
         assert sum(sizes) == 0 and outcomes == [0, 0, 0, n]
 
 
+@pytest.mark.parametrize("attenuator_db, all_live", [(59.4, True), (59.7, False)], ids=["above-half", "below-half"])
+def test_live_set_is_the_whole_block_from_a_click_bound_of_one_half(attenuator_db, all_live):
+    config = random_policy_config(
+        encoder=replace(random_policy_config().encoder, elements=ElementParams(attenuator_loss_db=attenuator_db)),
+        duration_s=0.05,
+    )
+    bound = click_bound(label_table(config.encoder).mu, config.detector)
+    assert (bound >= 0.5) == all_live and abs(bound - 0.5) < 0.02
+    sizes = []
+
+    def chain(x, basis, formula=branch_probabilities):
+        sizes.append(np.size(x))
+        return formula(x, basis)
+
+    with mock.patch.object(runner, "branch_probabilities", chain):
+        series = run_experiment(config).series
+    assert series == window_reversed_series(config, inline=False)
+    # at a bound of one half, about half of the pulses can click
+    assert (sum(sizes) == config.n_pulses()) == all_live
+
+
+def range_config(drift=DriftProfile.none(), sigma=0.0, **kw):
+    """One block of 500 pulses, about a fifth of them live, with phase
+    jitter ``sigma`` and ``drift``."""
+    defaults = dict(
+        encoder=EncoderConfig(phase_jitter_sigma=sigma, drift=drift),
+        repetition_rate_hz=1e4,
+        duration_s=0.05,
+        window_s=0.01,
+        sequence_seed=11,
+        detection_seed=12,
+    )
+    defaults.update(kw)
+    return RunConfig(**defaults)
+
+
+def _linear(amplitude=0.0, rate=0.0):
+    return DriftProfile(DRIFT_LINEAR, amplitude_rad=amplitude, rate_rad_per_s=rate)
+
+
+# Each term of phase_bound just below PHASE_RANGE (the phase difference runs
+# on the live pulses), just above it (on the whole block, in range) and far
+# above it (on the whole block, which overflows), with the operation whose
+# overflow each pipeline, loop and inline, reports, as the kernel reported
+# it when the phase difference ran on every pulse.
+RANGE_CASES = {
+    "sigma-below": (range_config(sigma=2e299), "live", None, None),
+    "sigma-above": (range_config(sigma=5e299), "block", None, None),
+    "sigma-overflow": (range_config(sigma=1e308), "block", "multiply", "multiply"),
+    # 2 pi t / period_s
+    "period-below": (range_config(DriftProfile.sinusoidal(1.0, 1e-300)), "live", None, None),
+    "period-above": (range_config(DriftProfile.sinusoidal(1.0, 1e-301)), "block", None, None),
+    "period-overflow": (range_config(DriftProfile.sinusoidal(1.0, 1e-309)), "block", "divide", "divide"),
+    # a period short enough that the two transits see unrelated drift
+    "sin-amplitude-below": (range_config(DriftProfile.sinusoidal(3e299, 3e-9)), "live", None, None),
+    "sin-amplitude-above": (range_config(DriftProfile.sinusoidal(6e299, 3e-9)), "block", None, None),
+    "sin-amplitude-overflow": (range_config(DriftProfile.sinusoidal(1e308, 3e-9)), "block", "subtract", "subtract"),
+    "rate-below": (range_config(_linear(rate=9e300)), "live", None, None),
+    "rate-above": (range_config(_linear(rate=2e301)), "block", None, None),
+    # only the inline modulator's rate * t overflows, after 1.8 s
+    "rate-overflow": (
+        range_config(_linear(rate=1e308), repetition_rate_hz=100.0, duration_s=3.0, window_s=1.0),
+        "block",
+        None,
+        "multiply",
+    ),
+    "linear-amplitude-below": (range_config(_linear(amplitude=8e299)), "live", None, None),
+    "linear-amplitude-above": (range_config(_linear(amplitude=2e300)), "block", None, None),
+    "linear-amplitude-overflow": (range_config(_linear(amplitude=1.79e308, rate=1.7e308)), "block", None, "add"),
+}
+
+
+def _series_or_error(run):
+    try:
+        return [result.series for result in run()]
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("config, path, loop_error, inline_error", RANGE_CASES.values(), ids=RANGE_CASES)
+def test_range_proof_keeps_every_result_and_error(config, path, loop_error, inline_error):
+    n = config.n_pulses()
+    for inline_flags, run in [
+        ((False,), lambda: [run_experiment(config)]),
+        ((False, True), lambda: drift_comparison(config, config.encoder.drift)),
+    ]:
+        sizes, largest = [], [0.0]
+
+        def spy(codes, *args, formula=phase_difference):
+            sizes.append(np.size(codes))
+            x = formula(codes, *args)
+            largest.append(float(np.max(np.abs(x), initial=0.0)))
+            return x
+
+        with mock.patch.object(runner, "phase_difference", spy):
+            got = _series_or_error(run)
+        # the kernel before the range proof: the phase difference of every pulse
+        with mock.patch.object(runner, "phase_bound", lambda *args: math.inf):
+            assert _series_or_error(run) == got
+        assert all(size < n for size in sizes) if path == "live" else set(sizes) == {n}
+        error = loop_error if inline_flags == (False,) else loop_error or inline_error
+        if error is not None:
+            assert got == f"the configuration takes the simulation out of floating-point range: overflow encountered in {error}"
+        elif max(largest) < 1e6:
+            # the per-pulse reference adds the analyzer's offset to the phase on
+            # another path, which parts from the closed form at huge phases
+            assert got == [window_reversed_series(config, inline) for inline in inline_flags]
+
+
+def _magnitudes():
+    """Zero, ordinary and huge values, those near PHASE_RANGE included."""
+    return st.one_of(
+        st.just(0.0),
+        st.floats(-6.0, 308.2).map(lambda e: 10.0**e),
+        st.sampled_from([1e299, 3e299, 1e300, 1.7e308]),
+    )
+
+
+@st.composite
+def range_proof_cases(draw):
+    kind = draw(st.sampled_from([DRIFT_NONE, DRIFT_LINEAR, DRIFT_SINUSOIDAL]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if kind == DRIFT_SINUSOIDAL:
+        period = 10.0 ** draw(st.floats(-310.0, 10.0))
+        drift = DriftProfile.sinusoidal(draw(_magnitudes()), period)
+    else:
+        drift = DriftProfile(kind, amplitude_rad=sign * draw(_magnitudes()), rate_rad_per_s=-sign * draw(_magnitudes()))
+    enc = EncoderConfig(
+        delta_l_m=draw(st.floats(1.0, 1e9)),
+        phase_jitter_sigma=draw(_magnitudes()),
+        drive_jitter_sigma=draw(_magnitudes()),
+        elements=ElementParams(pc_phase_phi0=sign * draw(_magnitudes()), pc_misalignment_eps=draw(_magnitudes())),
+        drift=drift,
+    )
+    return enc, 10.0 ** draw(st.floats(-6.0, 6.0)), draw(st.floats(0.0, 8.0)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(range_proof_cases())
+def test_phase_bound_covers_the_phase_difference(case):
+    enc, t_max, z_max, seed = case
+    bound = phase_bound(enc, t_max, z_max)
+    assert bound < PHASE_RANGE or bound == math.inf
+    if bound == math.inf:
+        return
+    rng = np.random.default_rng(seed)
+    n = 256
+    codes = rng.integers(0, 4, size=n)
+    # the extremes of times and normals included
+    t = np.append(rng.uniform(0.0, t_max, size=n - 2), [0.0, t_max])
+    normals = np.append(rng.uniform(-z_max, z_max, size=n - 2), [z_max, -z_max])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for inline in (False, True):
+            x = phase_difference(codes, t, normals, enc, inline)
+            assert np.max(np.abs(x)) <= bound
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
 def test_window_streams_equal_default_rng(seed):
     # windows from 40 below a _BLOCK boundary (a multiple of _SEED_BATCH) to the last
@@ -544,11 +708,15 @@ def test_block_windows_match_the_per_pulse_formula(case):
     run_starts = np.flatnonzero(np.diff(expected)) + 1
     np.testing.assert_array_equal(edges, np.concatenate(([0], run_starts, [stop - start])))
     np.testing.assert_array_equal(ids, expected[edges[:-1]])
-    # a block spanning fewer windows than it has pulses is evaluated at its
-    # two ends and five pulses around each boundary, not pulse by pulse
+    # a block is evaluated at its two ends, then, if it spans fewer windows
+    # than it has pulses, at five pulses around each boundary, not pulse by pulse
     boundaries = int(expected[-1] - expected[0])
-    if boundaries < stop - start - 1:
+    if boundaries == 0:
+        assert sizes == [2]
+    elif boundaries < stop - start - 1:
         assert sizes == [2, 5 * boundaries]
+    else:
+        assert sizes == [2, stop - start]
 
 
 def rendered_row_by_row(rows):

@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation
 from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
@@ -43,12 +43,18 @@ def _parse_number(text: str, convert=float) -> float:
     return value
 
 
+# Decimal context of the unit shift: an exponent beyond its range gives
+# +-Infinity (then float inf, which the key's rule rejects), not an
+# Overflow exception.
+_SHIFT = Context(traps=[InvalidOperation])
+
+
 def _parse_scaled(text: str, exponent: int) -> float:
     """Parse a value given in a 10^exponent unit into the base unit.
 
     The decimal shift is exact, so parse/format round-trip bit for bit.
     """
-    return _parse_number(text, lambda t: float(Decimal(t).scaleb(exponent)))
+    return _parse_number(text, lambda t: float(Decimal(t).scaleb(exponent, _SHIFT)))
 
 
 def _scaled_out(value: float, exponent: int) -> str:
@@ -263,9 +269,12 @@ def run(inv: CliInvocation) -> int:
     out = Path(inv.output_path)
     try:
         if inv.scenario == "drift":
-            paired: DriftComparisonResult = drift_comparison(config, config.encoder.drift)
+            # both paths before the run, so a path without a file name fails at once
+            if not out.name:
+                raise OSError(f"cannot write {inv.output_path!r}: the path names no file")
             pog_path = out.with_name(out.stem + "_pognac" + (out.suffix or ".csv"))
             inl_path = out.with_name(out.stem + "_inline" + (out.suffix or ".csv"))
+            paired: DriftComparisonResult = drift_comparison(config, config.encoder.drift)
             _write(pog_path, header + paired.pognac.series.to_csv())
             _write(inl_path, header + paired.inline.series.to_csv())
             print(f"# loop encoder ({pog_path})")

@@ -9,10 +9,12 @@ click, or nothing. ``branch_probabilities`` (the analyzer, in closed form;
 of the detectors' firing model), ``joint_probabilities`` and
 ``sample_outcomes`` are the array kernel; ``click_probabilities``,
 ``simulate_detection`` and ``presets.expected_qber`` call the same model.
-The chance of no click does not depend on the pulse's phase, so
-``click_bound`` gives one threshold per run: a uniform draw at or above it
-samples none for every pulse, and the run kernel runs the chain only on
-draws below it.
+Each step is one expression that takes floats and arrays alike, so the
+per-pulse reference and the run kernel run the same code. The chance of
+no click does not depend on the pulse's phase, so ``click_bound`` reads it
+from ``joint_probabilities`` once per run: a uniform draw at or above the
+bound samples none for every pulse, and the run kernel runs the chain only
+on draws below it.
 """
 
 from __future__ import annotations
@@ -147,28 +149,25 @@ def click_bound(mu: float, params: DetectorParams) -> float:
     The detectors fire independently, so neither does with probability
     (1 - p0)(1 - p1) = (1 - d)^2 exp(-mu eta (q0 + q1)) (see
     click_marginals), and q0 + q1 = 1 for every state: the chance of no
-    click, (1 - d)^2 exp(-mu eta), is the same for every pulse.
+    click, (1 - d)^2 exp(-mu eta), is the same for every pulse, so it is
+    read from joint_probabilities at q0 = 1, q1 = 0.
     sample_outcomes returns none whenever u >= c0 + c1 + double =
-    1 - (1 - d)^2 exp(-mu eta), up to the rounding of the computed sum,
-    which the 1e-9 margin covers (over 400 random detectors x 200 k phases
-    in both bases, the computed sum was at most 3.6e-16 above the exact one).
+    1 - (1 - d)^2 exp(-mu eta), up to the rounding of the computed sum and
+    of the bound, which the 1e-9 margin covers (over 400 random detectors x
+    200 k phases in both bases, the computed sum was at most 3.6e-16 above
+    the exact one, and the bound less its margin at most 2.3e-16 below it).
     """
-    NONNEG.check("mean photon number", mu)
-    keep = 1.0 - params.dark_count_prob_per_gate
-    return 1.0 - keep * keep * math.exp(-mu * params.efficiency) + 1e-9
+    return 1.0 - float(joint_probabilities(1.0, 0.0, mu, params)[3]) + 1e-9
 
 
 def sample_outcomes(probabilities, u):
-    """Outcome codes (uint8, index into OUTCOMES) for uniform draws ``u``:
-    the first outcome whose cumulative probability exceeds u, none when no
-    click does."""
+    """Outcome codes (uint8, index into OUTCOMES) for uniform draws ``u``, a
+    float or an array: the first outcome whose cumulative probability
+    exceeds u, so a draw equal to a cumulative sum goes to the next outcome;
+    none when no click does."""
     c0, c1, double, _ = probabilities
     c01 = c0 + c1
-    codes = np.full(np.shape(u), 3, dtype=np.uint8)
-    codes -= u < c0
-    codes -= u < c01
-    codes -= u < c01 + double
-    return codes
+    return np.uint8(3) - (u < c0) - (u < c01) - (u < c01 + double)
 
 
 def click_probabilities(state, mu: float, params: DetectorParams) -> ClickProbabilities:

@@ -142,7 +142,7 @@ class RunConfig:
             )
         if self.n_pulses() == 0:
             raise ConfigurationError(f"duration_s x repetition_rate_hz asks for {pulses:g} pulses, which rounds to 0")
-        _check_window_count(self.n_pulses(), self.repetition_rate_hz, self.window_s, "duration_s / window_s")
+        _window_count(self.n_pulses(), self.repetition_rate_hz, self.window_s, "duration_s / window_s")
 
     def n_pulses(self) -> int:
         return int(round(self.duration_s * self.repetition_rate_hz))
@@ -238,18 +238,17 @@ class DriftComparisonResult(NamedTuple):
     inline: RunResult
 
 
-def _check_window_count(n_pulses: int, repetition_rate_hz: float, window_s: float, what: str) -> None:
-    """Reject ``n_pulses`` pulses whose windows would number more than
-    _MAX_WINDOWS, before a tally is allocated for them; ``what`` names the
-    inputs that ask for them."""
+def _window_count(n_pulses: int, repetition_rate_hz: float, window_s: float, what: str) -> int:
+    """The number of windows of ``n_pulses`` pulses, 0 for none; more than
+    _MAX_WINDOWS are rejected before a tally is allocated for them, and
+    ``what`` names the inputs that ask for them."""
+    if not n_pulses:
+        return 0
     # the last window's index as a float, which overflows to inf (or nan), not int()
     last = ((n_pulses - 1) / repetition_rate_hz) // window_s
     if not last < _MAX_WINDOWS:
         raise ConfigurationError(f"{what} asks for {last + 1:g} windows, more than the cap of {_MAX_WINDOWS}")
-
-
-def _n_windows(n_pulses: int, repetition_rate_hz: float, window_s: float) -> int:
-    return int(((n_pulses - 1) / repetition_rate_hz) // window_s) + 1 if n_pulses else 0
+    return int(last) + 1
 
 
 def _windows(t, window_s: float):
@@ -291,12 +290,6 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float):
             full = np.flatnonzero(np.diff(edges))
             return np.append(edges[full], n), lo + full
     return _runs(_windows(np.arange(start, stop) / rate, window_s))
-
-
-def _block_times(start: int, stop: int, rate: float, which):
-    """Emission times of the pulses ``which`` (an index array or a slice) of
-    the block start..stop-1: the bits of np.arange(start, stop)[which] / rate."""
-    return (start + which if isinstance(which, np.ndarray) else np.arange(start, stop)[which]) / rate
 
 
 def _label_blocks(mode: str, n_pulses: int, seed):
@@ -461,8 +454,7 @@ def sift_and_qber(
     SEED.check("assignment_seed", assignment_seed)
 
     n = len(sequence)
-    if n:
-        _check_window_count(n, repetition_rate_hz, window_s, "len(sequence) / repetition_rate_hz / window_s")
+    n_windows = _window_count(n, repetition_rate_hz, window_s, "len(sequence) / repetition_rate_hz / window_s")
     codes = np.array([label_code(s) for s in sequence], dtype=np.int8)
     index, outcomes = [], []
     for rec in sorted(records, key=lambda r: r.pulse_index):
@@ -481,7 +473,7 @@ def sift_and_qber(
         index.append(idx)
         outcomes.append(OUTCOMES.index(rec.outcome))
 
-    tally = _Tally(_n_windows(n, repetition_rate_hz, window_s), double_click_policy, assignment_seed)
+    tally = _Tally(n_windows, double_click_policy, assignment_seed)
     if index:
         index = np.array(index)
         edges, ids = _runs(_windows(index / repetition_rate_hz, window_s))
@@ -511,7 +503,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     """
     rate, window_s, det, enc = config.repetition_rate_hz, config.window_s, config.detector, config.encoder
     n = config.n_pulses()
-    n_windows = _n_windows(n, rate, window_s)
+    n_windows = _window_count(n, rate, window_s, "duration_s / window_s")
     tallies = [_Tally(n_windows, det.double_click_policy, config.detection_seed) for _ in inline_flags]
     mu = label_table(enc).mu
     bound = click_bound(mu, det)
@@ -533,10 +525,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 # a window continued from the previous block keeps its streams;
                 # windows without pulses get none
                 if w != open_window:
-                    if w == open_window + 1:
-                        s_emit, s_det = next(seeds)
-                    else:
-                        s_emit, s_det = next(islice(seeds, w - open_window - 1, None))
+                    s_emit, s_det = next(islice(seeds, w - open_window - 1, None))
                     rng_emit, rng_det = Generator(PCG64(s_emit)), Generator(PCG64(s_det))
                     open_window = w
                 rng_emit.standard_normal(out=normals[a:b])
@@ -551,7 +540,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 z_max = float(max(-normals.min(), normals.max()))
                 if phase_bound(enc, (stop - 1) / rate, z_max) >= PHASE_RANGE:
                     on, pick = slice(None), live
-            args = codes[on], _block_times(start, stop, rate, on) if drifts else None, normals[on]
+            args = codes[on], np.arange(start, stop)[on] / rate if drifts else None, normals[on]
             start = stop
             u_live = uniforms[live]
             for inline, tally in zip(inline_flags, tallies):

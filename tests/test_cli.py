@@ -190,6 +190,8 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
         ("drift_rate_rad_per_s = inf", "drift_rate_rad_per_s must be finite"),
         ("phi0_rad = -inf", "phi0_rad must be finite"),
         ("fiber_index = 0.5", "fiber_index must be >= 1"),
+        # an exponent beyond the range of the decimal unit shift
+        ("optical_fwhm_ns = 1e999999999", "optical_fwhm_ns must be positive and finite, got inf"),
     ],
 )
 def test_run_rejects_unrunnable_values_with_line_number(tmp_path, capsys, line, message):
@@ -279,9 +281,9 @@ _keys = st.sampled_from(sorted(_KEY_TABLE))
 _finite_lines = _keys.flatmap(lambda k: _value(k).map(lambda v: f"{k} = {v}"))
 # ... and at most one line that must be rejected or ignored.
 _odd_lines = st.one_of(
-    st.tuples(_keys, st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "0x1.8p1", "abc", ""])).map(
-        " = ".join
-    ),
+    st.tuples(
+        _keys, st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "1e999999999", "0x1.8p1", "abc", ""])
+    ).map(" = ".join),
     st.sampled_from(["no equals sign", "turbo = on", "= 3", "# comment", ""]),
 )
 
@@ -439,6 +441,18 @@ def test_drift_scenario_writes_two_csvs(tmp_path, capsys):
         assert data_header == header
     out = capsys.readouterr().out
     assert "loop encoder" in out and "inline reference" in out
+
+
+@pytest.mark.parametrize("out", [".", ""])
+def test_drift_output_without_a_file_name_exits_3(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--scenario", "drift", "--out", out])
+    assert exit_info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_summary_csv_format(tmp_path, capsys):

@@ -21,6 +21,7 @@ from pognac.receiver import (
     click_bound,
     click_probabilities,
     joint_probabilities,
+    sample_outcomes,
     simulate_detection,
 )
 
@@ -142,6 +143,28 @@ def test_click_bound_covers_every_phase(mu, eta, dark, basis):
     assert np.all(clicks < bound)
     # ... and the bound sits within its margin of the click probability
     assert np.all(clicks > bound - 2e-9)
+
+
+def test_sample_outcomes_arrays_match_scalar_draws_and_ties_go_to_the_next_outcome():
+    rng = np.random.default_rng(15)
+    quadruples = rng.dirichlet(np.ones(4), size=200)
+    quadruples[np.arange(40), rng.integers(0, 4, size=40)] = 0.0  # an empty outcome repeats a cumulative sum
+    columns = []
+    for c0, c1, double, none in quadruples.tolist():
+        cumulative = (c0, c0 + c1, (c0 + c1) + double)
+        ties = [*cumulative, *(np.nextafter(cumulative, -1.0).tolist()), 0.0]
+        u = np.concatenate((rng.random(20), ties))
+        codes = sample_outcomes((c0, c1, double, none), u)
+        assert codes.dtype == np.uint8
+        # the first outcome whose cumulative probability exceeds the draw
+        expected = [next((k for k, c in enumerate(cumulative) if x < c), 3) for x in u.tolist()]
+        assert codes.tolist() == [int(sample_outcomes((c0, c1, double, none), x)) for x in u.tolist()] == expected
+        columns.append((np.full(len(u), c0), np.full(len(u), c1), np.full(len(u), double), u, codes))
+    # one probability per draw, as the run kernel passes them
+    c0, c1, double, u, codes = map(np.concatenate, zip(*columns))
+    per_draw = sample_outcomes((c0, c1, double, None), u)
+    assert per_draw.dtype == np.uint8
+    assert np.array_equal(per_draw, codes)
 
 
 def test_simulate_detection_certain_none():

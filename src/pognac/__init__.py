@@ -24,7 +24,7 @@ from .polarization import (
     fidelity,
     normalize,
 )
-from .presets import PRESETS, expected_qber, preset_config, preset_expected_qber
+from .presets import PRESETS, preset_config, preset_expected_qber
 from .receiver import (
     DetectionRecord,
     DetectorParams,

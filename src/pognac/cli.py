@@ -249,6 +249,16 @@ def summary_csv(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_writable(*paths: Path) -> None:
+    """Fail before the run on an output path that is a directory or sits in
+    a missing one, creating and truncating no file."""
+    for path in paths:
+        if path.is_dir():
+            raise OSError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise OSError(f"cannot write {path}: no directory {path.parent}")
+
+
 def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text)
@@ -268,12 +278,11 @@ def run(inv: CliInvocation) -> int:
     render = summary_csv if inv.summary_format == "csv" else summary_text
     out = Path(inv.output_path)
     try:
+        _check_writable(out)  # before with_name, which raises on a path that names no file
         if inv.scenario == "drift":
-            # both paths before the run, so a path without a file name fails at once
-            if not out.name:
-                raise OSError(f"cannot write {inv.output_path!r}: the path names no file")
             pog_path = out.with_name(out.stem + "_pognac" + (out.suffix or ".csv"))
             inl_path = out.with_name(out.stem + "_inline" + (out.suffix or ".csv"))
+            _check_writable(pog_path, inl_path)
             paired: DriftComparisonResult = drift_comparison(config, config.encoder.drift)
             _write(pog_path, header + paired.pognac.series.to_csv())
             _write(inl_path, header + paired.inline.series.to_csv())

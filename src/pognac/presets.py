@@ -13,29 +13,28 @@ solved from the D target and the extra drive jitter lifts H/V to the
 compromise 2*1.23*1.10/(1.23+1.10) = 1.161 % that sits within 6 % of both
 measured values. The alternating-D/A run used a cleaner pulse generator and
 gets its own, much smaller pair. Solved by scripts/calibrate_presets.py
-against expected_qber() below, which reads the run kernel's label table
-and click model (receiver.click_marginals); rerun it if the model changes.
+against preset_expected_qber() below, the package's one analytic model: it
+runs the run kernel's own chain at quadrature nodes, so rerun the script if
+the model changes.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
-from .encoder import LABEL_CODES, NOMINAL_PHASE, DriftProfile, EncoderConfig, label_table
-from .errors import FINITE, NONNEG, ConfigurationError
-from .receiver import BASIS_DA, BASIS_HV, POLICY_RANDOM, DetectorParams, click_marginals
-from .runner import LABEL_ORDER, SEQUENCE_DA, SEQUENCE_HVD, RunConfig
+from .encoder import DriftProfile, EncoderConfig, label_table, phase_difference
+from .errors import ConfigurationError
+from .receiver import BASIS_DA, BASIS_HV, POLICY_DISCARD, DetectorParams, branch_probabilities, joint_probabilities
+from .runner import CORRECT_BRANCH, LABEL_ORDER, SEQUENCE_DA, SEQUENCE_HVD, RunConfig
 
 # Solved jitter calibration, radians (see module docstring).
 HVD_BASE_JITTER = 0.2259
 HVD_DRIVE_JITTER = 0.0436
 DA_BASE_JITTER = 0.0759
 DA_DRIVE_JITTER = 0.0565
-
-# Gauss-Hermite nodes of expected_qber's average over the phase jitter.
-_QUADRATURE_NODES = 81
 
 # Reference mean QBERs the presets emulate, by (preset, receiver label).
 REFERENCE_QBER = {
@@ -47,54 +46,38 @@ REFERENCE_QBER = {
 }
 
 
-def expected_qber(mu: float, detector: DetectorParams, jitter_sigma: float, phase_offset: float = 0.0) -> float:
-    """Analytic mean sifted QBER of a state measured in its own basis by
-    ``detector``.
-
-    The per-pulse phase error is e = delta + phase_offset with
-    delta ~ N(0, jitter_sigma); the analyzer branch powers are sin^2(e/2)
-    and cos^2(e/2), and the detectors fire with the run kernel's own
-    click_marginals. Under the discard policy double clicks are excluded,
-    so the expectation is the ratio of the exclusive error and correct
-    click masses; under the random policy a fair coin gives half of the
-    double-click mass d to each branch: (m_err + d/2) / (m_err + m_corr + d).
-    Gauss-Hermite quadrature over the jitter distribution. nan when no
-    sifted click is possible, as for an empty window cell of a run.
-    """
-    NONNEG.check("jitter_sigma", jitter_sigma)
-    FINITE.check("phase_offset", phase_offset)
-    nodes, weights = np.polynomial.hermite_e.hermegauss(_QUADRATURE_NODES)
-    weights = weights / math.sqrt(2.0 * math.pi)  # normalize to a probability measure
-    e = jitter_sigma * nodes + phase_offset
-    q_err = np.sin(e / 2.0) ** 2
-    p_err, p_corr = click_marginals(q_err, 1.0 - q_err, mu, detector)
-    mass_err = float(np.sum(weights * p_err * (1.0 - p_corr)))
-    mass_corr = float(np.sum(weights * p_corr * (1.0 - p_err)))
-    if detector.double_click_policy == POLICY_RANDOM:
-        double = float(np.sum(weights * p_err * p_corr))
-        num, den = mass_err + double / 2.0, mass_err + mass_corr + double
-    else:
-        num, den = mass_err, mass_err + mass_corr
-    return num / den if den else math.nan
+@cache
+def _quadrature():
+    """Gauss-Hermite nodes and weights of the average over one standard
+    normal draw, weights normalized to a probability measure."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(81)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
 def preset_expected_qber(config: RunConfig, sent_label: str) -> float:
-    """expected_qber() evaluated with a run config's own parameters, read
-    from the same label table the emission kernel reads.
-
-    The phase offset is the label's drive residual, its phase difference
-    phi_e - phi_l off the nominal one (wrapped into [-pi, pi]), less the
-    controller frame phase. Only labels measured in their own basis (the
-    deterministic ones) have an expectation; any other label is rejected.
+    """Analytic mean sifted QBER of ``sent_label`` measured in its own basis
+    under ``config``: the run kernel's chain, phase_difference ->
+    branch_probabilities -> joint_probabilities, with Gauss-Hermite nodes
+    as the normal draws (a drifting config is read at pulse 0 of the
+    loop), then sifting. Discard: m_err / (m_err + m_corr) over the
+    exclusive click masses; random: a fair coin gives each branch half of
+    the double-click mass d, (m_err + d/2) / (m_err + m_corr + d). nan when
+    no sifted click is possible, as for an empty window cell of a run. Any
+    label not measured in its own basis is rejected.
     """
     basis = config.detector.basis
     if sent_label not in LABEL_ORDER or sent_label not in basis:
         raise ConfigurationError(f"label {sent_label!r} is not measured in its own basis by the {basis} analyzer")
-    table = label_table(config.encoder)
     code = LABEL_ORDER.index(sent_label)
-    nominal = NOMINAL_PHASE[LABEL_CODES[code]]
-    residual = math.remainder(table.phi_e[code] - table.phi_l[code] - nominal, 2.0 * math.pi)
-    return expected_qber(table.mu, config.detector, float(table.sigma[code]), residual - table.frame)
+    nodes, weights = _quadrature()
+    q0, q1 = branch_probabilities(phase_difference(code, 0.0, nodes, config.encoder), basis)
+    mu = label_table(config.encoder).mu
+    c0, c1, double, _ = (float(np.sum(weights * p)) for p in joint_probabilities(q0, q1, mu, config.detector))
+    correct, error = (c0, c1) if CORRECT_BRANCH[code] == 0 else (c1, c0)
+    if config.detector.double_click_policy == POLICY_DISCARD:
+        double = 0.0
+    den = error + correct + double
+    return (error + double / 2.0) / den if den else math.nan
 
 
 def _preset(basis, mode, seeds, jitter, drift=DriftProfile(), rate_hz=1e4, duration_s=60.0) -> RunConfig:

@@ -8,7 +8,7 @@ click, or nothing. ``branch_probabilities`` (the analyzer, in closed form;
 ``branch_powers`` for any Jones state), ``click_marginals`` (the one copy
 of the detectors' firing model), ``joint_probabilities`` and
 ``sample_outcomes`` are the array kernel; ``click_probabilities``,
-``simulate_detection`` and ``presets.expected_qber`` call the same model.
+``simulate_detection`` and ``presets.preset_expected_qber`` call the same model.
 Each step is one expression that takes floats and arrays alike, so the
 per-pulse reference and the run kernel run the same code. The chance of
 no click does not depend on the pulse's phase, so ``click_bound`` reads it

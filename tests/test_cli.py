@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pognac
-
+from pognac import cli
 from pognac.cli import (
     _KEY_TABLE,
     CliInvocation,
@@ -453,6 +453,25 @@ def test_drift_output_without_a_file_name_exits_3(tmp_path, monkeypatch, capsys,
     assert err.startswith("error: cannot write ")
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("out", ["a_dir", "missing_dir/run.csv"])
+@pytest.mark.parametrize("scenario, simulation", [("fig2", "run_experiment"), ("drift", "drift_comparison")])
+def test_unwritable_output_exits_3_before_the_run(tmp_path, monkeypatch, capsys, out, scenario, simulation):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+
+    def simulate(*args):
+        raise AssertionError(f"{simulation} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, simulation, simulate)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--scenario", scenario, "--out", out])
+    assert exit_info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["a_dir"]
 
 
 def test_summary_csv_format(tmp_path, capsys):

@@ -18,7 +18,6 @@ from pognac.encoder import (
 )
 from pognac.errors import ConfigurationError
 from pognac.polarization import H
-from pognac.presets import expected_qber
 from pognac.receiver import DetectorParams, branch_powers, click_probabilities
 from pognac.runner import SEQUENCE_HVD, RunConfig, generate_sequence, sift_and_qber
 
@@ -89,13 +88,8 @@ def _phases(pulse, fwhm=1.2e-9):
             id="coin-seed-fraction",
         ),
         pytest.param(lambda: DetectorParams(double_click_policy="coin"), "double_click_policy", id="policy"),
-        pytest.param(lambda: expected_qber(NAN, DetectorParams(), 0.1), "mean photon number", id="qber-mu"),
-        pytest.param(lambda: expected_qber(-1.0, DetectorParams(), 0.1), "mean photon number", id="qber-mu-negative"),
         pytest.param(lambda: DetectorParams(efficiency=-0.5), "efficiency", id="qber-efficiency"),
         pytest.param(lambda: DetectorParams(dark_count_prob_per_gate=2.0), "dark_count_prob_per_gate", id="qber-dark"),
-        pytest.param(lambda: expected_qber(1.0, DetectorParams(), INF), "jitter_sigma", id="qber-jitter"),
-        pytest.param(lambda: expected_qber(1.0, DetectorParams(), -0.1), "jitter_sigma", id="qber-jitter-negative"),
-        pytest.param(lambda: expected_qber(1.0, DetectorParams(), 0.1, NAN), "phase_offset", id="qber-offset"),
     ],
 )
 def test_entry_points_reject_out_of_range_values(call, message):

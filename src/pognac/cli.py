@@ -21,6 +21,7 @@ from .errors import ConfigFileError, ConfigurationError, Rule
 from .presets import PRESETS, preset_config
 from .runner import (
     DriftComparisonResult,
+    QberSeries,
     RunConfig,
     RunResult,
     drift_comparison,
@@ -259,9 +260,12 @@ def _check_writable(*paths: Path) -> None:
             raise OSError(f"cannot write {path}: no directory {path.parent}")
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, header: str, series: QberSeries) -> None:
+    """The provenance header, then the series' CSV piece by piece."""
     try:
-        path.write_text(text)
+        with path.open("w") as f:
+            f.write(header)
+            f.writelines(series.csv_chunks())
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from None
 
@@ -284,15 +288,15 @@ def run(inv: CliInvocation) -> int:
             inl_path = out.with_name(out.stem + "_inline" + (out.suffix or ".csv"))
             _check_writable(pog_path, inl_path)
             paired: DriftComparisonResult = drift_comparison(config, config.encoder.drift)
-            _write(pog_path, header + paired.pognac.series.to_csv())
-            _write(inl_path, header + paired.inline.series.to_csv())
+            _write(pog_path, header, paired.pognac.series)
+            _write(inl_path, header, paired.inline.series)
             print(f"# loop encoder ({pog_path})")
             print(render(paired.pognac), end="")
             print(f"# inline reference ({inl_path})")
             print(render(paired.inline), end="")
         else:
             result = run_experiment(config)
-            _write(out, header + result.series.to_csv())
+            _write(out, header, result.series)
             print(render(result), end="")
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

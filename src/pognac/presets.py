@@ -28,7 +28,7 @@ import numpy as np
 from .encoder import DriftProfile, EncoderConfig, label_table, phase_difference
 from .errors import ConfigurationError
 from .receiver import BASIS_DA, BASIS_HV, POLICY_DISCARD, DetectorParams, branch_probabilities, joint_probabilities
-from .runner import CORRECT_BRANCH, LABEL_ORDER, SEQUENCE_DA, SEQUENCE_HVD, RunConfig
+from .runner import CORRECT_BRANCH, LABEL_ORDER, SEQUENCE_DA, SEQUENCE_HVD, RunConfig, _out_of_range_is_a_config_error
 
 # Solved jitter calibration, radians (see module docstring).
 HVD_BASE_JITTER = 0.2259
@@ -63,16 +63,18 @@ def preset_expected_qber(config: RunConfig, sent_label: str) -> float:
     exclusive click masses; random: a fair coin gives each branch half of
     the double-click mass d, (m_err + d/2) / (m_err + m_corr + d). nan when
     no sifted click is possible, as for an empty window cell of a run. Any
-    label not measured in its own basis is rejected.
+    label not measured in its own basis is rejected, and a config out of
+    floating-point range raises ConfigurationError, as a run of it does.
     """
     basis = config.detector.basis
     if sent_label not in LABEL_ORDER or sent_label not in basis:
         raise ConfigurationError(f"label {sent_label!r} is not measured in its own basis by the {basis} analyzer")
     code = LABEL_ORDER.index(sent_label)
     nodes, weights = _quadrature()
-    q0, q1 = branch_probabilities(phase_difference(code, 0.0, nodes, config.encoder), basis)
     mu = label_table(config.encoder).mu
-    c0, c1, double, _ = (float(np.sum(weights * p)) for p in joint_probabilities(q0, q1, mu, config.detector))
+    with _out_of_range_is_a_config_error():
+        q0, q1 = branch_probabilities(phase_difference(code, 0.0, nodes, config.encoder), basis)
+        c0, c1, double, _ = (float(np.sum(weights * p)) for p in joint_probabilities(q0, q1, mu, config.detector))
     correct, error = (c0, c1) if CORRECT_BRANCH[code] == 0 else (c1, c0)
     if config.detector.double_click_policy == POLICY_DISCARD:
         double = 0.0

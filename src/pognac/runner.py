@@ -19,7 +19,11 @@ on every pulse, so an overflow is reported as it always was. From a
 click bound of one half, the live set is the whole block, as a slice.
 The tally takes each block's window runs (edges, ids)
 and offsets the (label, outcome) index per run, not per pulse. Peak
-memory is O(block), not O(run).
+memory is O(block), not O(run), beyond the tally's cells.
+
+A QberSeries holds its counts as read-only int64 columns of shape
+[window, label]; its CSV is rendered from them _CSV_WINDOWS windows at a
+time (QberSeries.csv_chunks), which the CLI writes to the file one by one.
 
 Randomness is organized so results are bit-identical however the work is
 chunked: the label sequence comes from one seeded generator, each analysis
@@ -29,7 +33,8 @@ the coins that assign double clicks under the random policy come from one
 run-wide generator; every stream is consumed in pulse order. The window
 streams' seed words are computed 1024 windows at a time (_window_streams),
 and each window that holds pulses gets its own Generator(PCG64) per role,
-built from them.
+built from them: one reused seed sequence (_seed_feed) hands each PCG64
+its words.
 """
 
 from __future__ import annotations
@@ -99,6 +104,10 @@ _MAX_PULSES = 1 << 40
 
 # Windows whose stream seeds are computed in one array pass.
 _SEED_BATCH = 1 << 10
+
+# Windows of one piece of CSV text (QberSeries.csv_chunks): a few MB of
+# rows, whatever the number of windows.
+_CSV_WINDOWS = 1 << 13
 
 # Slots of one (window, label) tally cell: the outcome codes in OUTCOMES
 # order, then a double click that the random policy's coin assigned to
@@ -181,36 +190,53 @@ class LabelStats:
     stderr: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QberSeries:
     """Windowed QBER time series plus run-level per-label statistics.
 
-    The sifted counts are columns indexed [window][i] for the sent label
-    labels[i]: correct, error and discarded (double clicks the discard
-    policy dropped). Window w starts at w * window_s.
+    The sifted counts are read-only int64 columns of shape [window, label],
+    for the sent label labels[i] in column i: correct, error and discarded
+    (double clicks the discard policy dropped). Window w starts at
+    w * window_s.
     """
 
     labels: tuple[str, ...]
     window_s: float
-    correct: tuple[tuple[int, ...], ...]
-    error: tuple[tuple[int, ...], ...]
-    discarded: tuple[tuple[int, ...], ...]
+    correct: np.ndarray
+    error: np.ndarray
+    discarded: np.ndarray
     # Per window: pulses ending in each outcome of OUTCOMES (click_0,
-    # click_1, double, none), whatever their label.
-    outcome_counts: tuple[tuple[int, int, int, int], ...]
+    # click_1, double, none), whatever their label; shape [window, 4].
+    outcome_counts: np.ndarray
 
-    def _cells(self):
-        """(window, [(label, n_correct, n_error, n_discarded), ...]) in time order."""
-        for w, cells in enumerate(zip(self.correct, self.error, self.discarded)):
-            yield w, zip(self.labels, *cells)
+    def __eq__(self, other):
+        if not isinstance(other, QberSeries):
+            return NotImplemented
+        return (self.labels, self.window_s) == (other.labels, other.window_s) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("correct", "error", "discarded", "outcome_counts")
+        )
+
+    __hash__ = None  # the columns are arrays
+
+    def _columns(self, lo: int, hi: int, starts):
+        """The rows of windows lo..hi-1, in CSV order, as parallel lists:
+        window start (starts[w - lo]), label, n_correct, n_error,
+        n_discarded."""
+        return (
+            np.repeat(starts, len(self.labels)).tolist(),
+            self.labels * (hi - lo),
+            *(a[lo:hi].ravel().tolist() for a in (self.correct, self.error, self.discarded)),
+        )
 
     @property
     def rows(self) -> tuple[WindowRow, ...]:
         """One row per (window, sent label), in CSV order."""
-        return tuple(WindowRow(w * self.window_s, *cell) for w, cells in self._cells() for cell in cells)
+        n_windows = len(self.correct)
+        return tuple(map(WindowRow, *self._columns(0, n_windows, np.arange(n_windows) * self.window_s)))
 
     def label_stats(self) -> dict[str, LabelStats]:
-        totals = (map(sum, zip(*column)) for column in (self.correct, self.error, self.discarded))
+        totals = (a.sum(axis=0).tolist() for a in (self.correct, self.error, self.discarded))
         out = {}
         for label, nc, ne, nd in zip(self.labels, *totals):
             n = nc + ne
@@ -219,13 +245,31 @@ class QberSeries:
             out[label] = LabelStats(label, nc, ne, nd, q, se)
         return out
 
+    def csv_chunks(self):
+        """to_csv() in pieces of at most _CSV_WINDOWS windows, header first."""
+        yield "window_start_s,sent_label,n_correct,n_error,n_discarded,qber\n"
+        row = "{},{},{},{},{},{}\n".format
+        for lo in range(0, len(self.correct), _CSV_WINDOWS):
+            hi = min(lo + _CSV_WINDOWS, len(self.correct))
+            error = self.error[lo:hi]
+            n = self.correct[lo:hi] + error
+            # counts stay below 2**53 (_MAX_PULSES), so IEEE division gives Python's
+            # int quotient bit for bit; nan flags an empty cell, as _qber does
+            qber = np.divide(error, n, out=np.full(n.shape, math.nan), where=n > 0)
+            columns = self._columns(lo, hi, _reprs(np.arange(lo, hi) * self.window_s))
+            yield "".join(map(row, *columns, _reprs(qber.ravel()).tolist()))
+
     def to_csv(self) -> str:
         """Windowed series in the fixed output schema."""
-        lines = ["window_start_s,sent_label,n_correct,n_error,n_discarded,qber"]
-        for w, cells in self._cells():
-            start = repr(w * self.window_s)
-            lines += [f"{start},{label},{nc},{ne},{nd},{_qber(nc, ne)!r}" for label, nc, ne, nd in cells]
-        return "\n".join(lines) + "\n"
+        return "".join(self.csv_chunks())
+
+
+def _reprs(values):
+    """repr() of each float of the 1-d array ``values``, as an object array;
+    each distinct value is rendered once. Values equal under == share a
+    repr, so -0.0 would print as 0.0; no window start or QBER is negative."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array(list(map(repr, distinct.tolist())), dtype=object)[index]
 
 
 class RunResult(NamedTuple):
@@ -342,24 +386,17 @@ def _mix(x, y):
 
 
 def _window_streams(seed: int, n_windows: int):
-    """Yield, for w = 0, 1, ..., n_windows - 1, the seeds s0, s1 for which
-    PCG64(s0) and PCG64(s1) start where np.random.default_rng((seed, w, 0))
-    and default_rng((seed, w, 1)) do.
+    """Yield, for w = 0, 1, ..., n_windows - 1, a uint64 array of shape
+    (2, 4): the seed words for which PCG64 starts where
+    np.random.default_rng((seed, w, 0)) and default_rng((seed, w, 1)) do,
+    when _seed_feed() hands them over (see _simulate).
 
-    Each seed returns the generate_state(4, uint64) words of numpy's
-    SeedSequence (entropy mixed into a pool of four uint32 words), computed
-    on uint32 arrays for _SEED_BATCH windows and both roles at once. Each
-    window index is a single entropy word because w < _MAX_WINDOWS < 2**32.
+    The words of each role are the generate_state(4, uint64) words of
+    numpy's SeedSequence (entropy mixed into a pool of four uint32 words),
+    computed on uint32 arrays for _SEED_BATCH windows and both roles at
+    once. Each window index is a single entropy word because
+    w < _MAX_WINDOWS < 2**32.
     """
-    from numpy.random.bit_generator import ISeedSequence  # on first run, not at import
-
-    class Words(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
     seed = int(seed)
     seed_words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     for lo in range(0, n_windows, _SEED_BATCH):
@@ -380,9 +417,22 @@ def _window_streams(seed: int, n_windows: int):
         out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
         # little-endian uint32 pairs -> the uint64 words, contiguous per (window, role),
         # as PCG64's set-seed reads them
-        words = np.stack([out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=-1)
-        for emit, detect in words:
-            yield Words(emit), Words(detect)
+        yield from np.stack([out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=-1)
+
+
+def _seed_feed():
+    """A seed sequence that hands PCG64 the words last put in its ``words``
+    attribute, as SeedSequence.generate_state(4, uint64) would; one instance
+    serves every stream of a run."""
+    from numpy.random.bit_generator import ISeedSequence  # on first run, not at import
+
+    class Feed(ISeedSequence):
+        words = None
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Feed()
 
 
 class _Tally:
@@ -411,24 +461,27 @@ class _Tally:
         counts = np.bincount(flat, minlength=(hi - lo) * cell)
         self.cells[lo:hi] += counts.reshape(hi - lo, len(LABEL_CODES), _SLOTS)
 
-    def sifted(self):
-        """(n_correct, n_error, n_discarded), each indexed [window, label code]."""
-        c = self.cells
-        branch0 = c[..., _CLICK_0] + c[..., _COIN_0]
-        branch1 = c[..., _CLICK_1] + c[..., _COIN_1]
-        first = CORRECT_BRANCH == 0
-        return np.where(first, branch0, branch1), np.where(first, branch1, branch0), c[..., _DOUBLE]
-
     def series(self, labels, window_s: float) -> QberSeries:
         """The windowed series for the label codes ``labels`` (ascending)."""
-        columns = [tuple(map(tuple, a[:, labels].tolist())) for a in self.sifted()]
-        c = self.cells.sum(axis=1)
-        outcomes = np.stack(
-            [c[:, _CLICK_0], c[:, _CLICK_1], c[:, _DOUBLE] + c[:, _COIN_0] + c[:, _COIN_1], c[:, _NONE]],
-            axis=1,
-        )
+        outcomes = self.cells[..., : _NONE + 1].sum(axis=1)  # the slots in OUTCOMES order
+        outcomes[:, _DOUBLE] += self.cells[..., _COIN_0:].sum(axis=(1, 2))
+        columns = _sifted(self.cells, labels)
+        for a in (*columns, outcomes):
+            a.flags.writeable = False
         names = tuple(LABEL_ORDER[k] for k in labels)
-        return QberSeries(names, window_s, *columns, tuple(map(tuple, outcomes.tolist())))
+        return QberSeries(names, window_s, *columns, outcomes)
+
+
+def _sifted(cells, labels):
+    """(n_correct, n_error, n_discarded) of tally cells [..., label code,
+    slot], each indexed [..., i] for the label code labels[i]. A label's
+    correct branch b = CORRECT_BRANCH[code] sums slots click_b and coin_b,
+    its error branch the other two."""
+    codes = np.asarray(labels, dtype=np.intp)
+    b = CORRECT_BRANCH[codes]
+    correct = cells[..., codes, _CLICK_0 + b] + cells[..., codes, _COIN_0 + b]
+    error = cells[..., codes, _CLICK_1 - b] + cells[..., codes, _COIN_1 - b]
+    return correct, error, cells[..., codes, _DOUBLE]
 
 
 def sift_and_qber(
@@ -511,6 +564,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     drifts = enc.drift.kind != DRIFT_NONE
     pulses = np.zeros(n_windows, dtype=np.int64)
     seeds = _window_streams(config.detection_seed, n_windows)
+    feed = _seed_feed()
     Generator, PCG64 = np.random.Generator, np.random.PCG64
     open_window = -1
     start = 0
@@ -525,8 +579,11 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 # a window continued from the previous block keeps its streams;
                 # windows without pulses get none
                 if w != open_window:
-                    s_emit, s_det = next(islice(seeds, w - open_window - 1, None))
-                    rng_emit, rng_det = Generator(PCG64(s_emit)), Generator(PCG64(s_det))
+                    skip = w - open_window - 1
+                    feed.words, words_det = next(islice(seeds, skip, None) if skip else seeds)
+                    rng_emit = Generator(PCG64(feed))
+                    feed.words = words_det
+                    rng_det = Generator(PCG64(feed))
                     open_window = w
                 rng_emit.standard_normal(out=normals[a:b])
                 rng_det.random(out=uniforms[a:b])
@@ -558,9 +615,9 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
         assert np.array_equal(tally.cells.sum(axis=(1, 2)), pulses), "outcomes per window != pulses sent"
         series = tally.series(labels, window_s)
         summary = series.label_stats()
-        totals = np.stack(tally.sifted(), axis=-1).sum(axis=0).tolist()
+        totals = np.stack(_sifted(tally.cells.sum(axis=0), labels), axis=-1).tolist()
         assert {label: [s.n_correct, s.n_error, s.n_discarded] for label, s in summary.items()} == {
-            LABEL_ORDER[k]: totals[k] for k in labels
+            LABEL_ORDER[k]: t for k, t in zip(labels, totals)
         }, "label_stats() != the totals of the tally cells"
         results.append(RunResult(series, summary))
     return results

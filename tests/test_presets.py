@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -147,3 +148,14 @@ def test_expectation_is_nan_when_no_click_is_possible(policy):
     unlit = replace(config, detector=no_dark, encoder=replace(config.encoder, source_mean_photon_number=0.0))
     for no_click in (blind, unlit):
         assert math.isnan(preset_expected_qber(no_click, "H"))
+
+
+def test_expectation_out_of_range_fails_as_a_run_does():
+    config = preset_config("fig2")
+    config = replace(config, encoder=replace(config.encoder, phase_jitter_sigma=1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="out of floating-point range"):
+            preset_expected_qber(config, "H")
+        with pytest.raises(ConfigurationError, match="out of floating-point range"):
+            run_experiment(replace(config, duration_s=0.3, window_s=0.3))

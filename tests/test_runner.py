@@ -657,9 +657,12 @@ def test_window_streams_equal_default_rng(seed):
     first = runner._BLOCK - 40
     streams = list(islice(runner._window_streams(seed, runner._BLOCK + 40), first, None))
     assert len(streams) == 80
-    for w, pair in enumerate(streams, start=first):
+    feed = runner._seed_feed()
+    for w, words in enumerate(streams, start=first):
+        assert words.shape == (2, 4) and words.dtype == np.uint64
         for k in (0, 1):
-            rng = np.random.Generator(np.random.PCG64(pair[k]))
+            feed.words = words[k]
+            rng = np.random.Generator(np.random.PCG64(feed))
             oracle = np.random.default_rng((seed, w, k))
             assert rng.bit_generator.state == oracle.bit_generator.state
             np.testing.assert_array_equal(rng.standard_normal(5), oracle.standard_normal(5))
@@ -741,8 +744,9 @@ def test_csv_and_rows_follow_the_columns(config):
     series = run_experiment(config).series
     n_windows = len(series.outcome_counts)
     assert len(series.correct) == len(series.error) == len(series.discarded) == n_windows
+    correct, error, discarded = (a.tolist() for a in (series.correct, series.error, series.discarded))
     rows = [
-        runner.WindowRow(w * config.window_s, label, series.correct[w][i], series.error[w][i], series.discarded[w][i])
+        runner.WindowRow(w * config.window_s, label, correct[w][i], error[w][i], discarded[w][i])
         for w in range(n_windows)
         for i, label in enumerate(series.labels)
     ]
@@ -756,3 +760,57 @@ def test_csv_and_rows_follow_the_columns(config):
     if config.detector.double_click_policy == "discard":
         assert any(math.isnan(r.qber) for r in rows)
         assert "nan" in series.to_csv()
+
+
+def test_series_columns_are_read_only_int64():
+    series = run_experiment(random_policy_config()).series
+    n_windows = 30
+    for name, width in [("correct", 3), ("error", 3), ("discarded", 3), ("outcome_counts", 4)]:
+        column = getattr(series, name)
+        assert column.dtype == np.int64 and column.shape == (n_windows, width)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0, 0] = 1
+
+
+def test_series_equality_compares_every_column():
+    config = random_policy_config()
+    series = run_experiment(config).series
+    assert series == run_experiment(config).series
+    assert not series != run_experiment(config).series
+    assert series != replace(series, labels=("H", "V", "A"))
+    assert series != replace(series, window_s=0.02)
+    for name in ("correct", "error", "discarded", "outcome_counts"):
+        column = getattr(series, name).copy()
+        column[-1, -1] += 1
+        assert series != replace(series, **{name: column})
+    assert series != "a series"
+    assert not series == None  # noqa: E711
+    with pytest.raises(TypeError, match="unhashable type: 'QberSeries'"):
+        hash(series)
+
+
+def test_rows_and_label_stats_are_python_numbers():
+    series = run_experiment(random_policy_config()).series
+    for row in series.rows:
+        assert type(row.window_start_s) is float and type(row.qber) is float
+        assert {type(row.n_correct), type(row.n_error), type(row.n_discarded)} == {int}
+    for stats in series.label_stats().values():
+        assert {type(stats.n_correct), type(stats.n_error), type(stats.n_discarded)} == {int}
+        assert type(stats.qber) is float and type(stats.stderr) is float
+
+
+def test_csv_chunks_join_to_the_row_by_row_render():
+    # about one photon in ten pulses, and 2.5 windows per pulse period: most
+    # windows hold no pulse, and more of the others hold no click
+    config = quiet_config(repetition_rate_hz=1e5, duration_s=0.04, window_s=4e-6)
+    series = run_experiment(config).series
+    n_windows = len(series.correct)
+    assert n_windows > runner._CSV_WINDOWS
+    assert (series.outcome_counts.sum(axis=1) == 0).any()
+    rows = series.rows
+    assert any(math.isnan(r.qber) for r in rows)
+    chunks = list(series.csv_chunks())
+    assert len(chunks) == 1 + math.ceil(n_windows / runner._CSV_WINDOWS)
+    assert "".join(chunks) == series.to_csv() == rendered_row_by_row(rows)
+    with mock.patch.object(runner, "_CSV_WINDOWS", 7):
+        assert "".join(series.csv_chunks()) == series.to_csv()

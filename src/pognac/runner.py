@@ -1,14 +1,15 @@
 """Experiment orchestration: pseudorandom state sequences, windowed QBER
 accounting, and the drift comparison against an inline-modulator baseline.
 
-A run streams through one array kernel in blocks of at most _BLOCK pulses:
-int8 label codes -> phase_difference (the loop phase difference, the only
-thing of a pulse that reaches the analyzer) -> branch_probabilities (the
-analyzer's branch powers in closed form) -> joint_probabilities ->
-sample_outcomes (uint8 outcome codes) -> one np.bincount per block over
-(window, label, outcome). No Jones vector is built per pulse, emission
-times are computed only when the loop drifts, and each block's windows
-come from its window boundaries (_block_windows), not from every pulse.
+A run streams through one array kernel in blocks of _BLOCK or 2 * _BLOCK
+pulses: int8 label codes -> phase_difference (the loop phase difference,
+the only thing of a pulse that reaches the analyzer) ->
+branch_probabilities (the analyzer's branch powers in closed form) ->
+joint_probabilities -> sample_outcomes (uint8 outcome codes) -> the
+tally's np.bincount over (window, label, outcome). No Jones vector is
+built per pulse, emission times are computed only when the loop drifts,
+and each block's windows come from its window boundaries
+(_block_windows), not from every pulse.
 The chance of no click is the same for every pulse, so the live set, the
 pulses whose detection draw lies below receiver.click_bound, is taken
 right after the draws; the others end in none, as sample_outcomes would
@@ -17,9 +18,17 @@ live set alone wherever encoder.phase_bound proves that no pulse of the
 block can overflow in phase_difference; elsewhere phase_difference runs
 on every pulse, so an overflow is reported as it always was. From a
 click bound of one half, the live set is the whole block, as a slice.
-The tally takes each block's window runs (edges, ids)
-and offsets the (label, outcome) index per run, not per pulse. Peak
-memory is O(block), not O(run), beyond the tally's cells.
+Such a block holds _BLOCK pulses; a partly live one holds 2 * _BLOCK,
+which keeps every temporary under glibc's mmap threshold (see _BLOCK).
+
+The tally is O(live) per pipeline (_live_set, _Tally.add): per block,
+one np.bincount counts the pulses of each (window run, label), shared by
+both drift pipelines; per pipeline, one np.bincount counts the live
+pulses by (window run, label, outcome), and a cell's none slot also gets
+the label's pulses in that run minus the live ones counted there. A
+block that is live as a whole skips the first count: it derives no none.
+sift_and_qber counts its records the same way, those with a click live.
+Peak memory is O(block), not O(run), beyond the tally's cells.
 
 A QberSeries holds its counts as read-only int64 columns of shape
 [window, label]; its CSV is rendered from them _CSV_WINDOWS windows at a
@@ -88,12 +97,18 @@ CORRECT_BRANCH = np.array([0, 1, 0, 1])
 
 _DA_CODES = np.array([label_code("D"), label_code("A")], dtype=np.int8)
 
-# Pulses per kernel call; a block holds a few dozen float64 arrays of this
-# length, whatever the run or window length. Each is 64 KiB, under glibc's
-# 128 KiB mmap threshold, so the kernel's temporaries are reused from the
-# heap; 512 KiB arrays were mapped or trimmed away between blocks and paged
-# in afresh, about 3000 page faults per block of the drift preset.
-_BLOCK = 1 << 13
+# Pulses per kernel call of a run whose every pulse is live; a run with a
+# click bound below _ALL_LIVE takes 2 * _BLOCK, since its chain runs on the
+# live set, a fraction of the block. Whatever the run or window length, a
+# block's arrays are then at most 2 * _BLOCK float64 or intp, 130 560 B,
+# under glibc's 128 KiB mmap threshold (a fresh process maps 2**14 of them),
+# so the kernel's temporaries are reused from the heap. Longer arrays are
+# mapped, or trimmed from the heap, between blocks and paged in afresh: a
+# second run of 2.4 M fig2 pulses took 11.6 minor faults per block at
+# _BLOCK = 12000 and 0.69 at 8160.
+# All-live runs keep _BLOCK: their chain of block-sized temporaries ran
+# slower at twice it.
+_BLOCK = 8160
 
 # Caps on one run, checked by RunConfig before anything is allocated: the
 # tally holds 24 int64 per window and pipeline, and the kernel runs at a
@@ -314,7 +329,10 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float):
 
     The window index is monotone in the pulse index, so window w begins at
     the first pulse whose window is w or later, predicted to be
-    ceil(w * window_s * rate). A block inside one window is one run;
+    ceil(w * window_s * rate). The windows of the block's two ends come
+    from Python floats, whose division and floor division are numpy's bit
+    for bit; a value past the int64 range (or nan) takes numpy's path, with
+    its warnings or errors. A block inside one window is one run;
     otherwise the formula is evaluated only at the five pulses within two
     of each prediction, which must bracket the boundary.
     A block that spans as many windows as it has pulses (windows shorter
@@ -322,7 +340,11 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float):
     by pulse, so memory stays O(block) whatever window_s * rate is.
     """
     n = stop - start
-    lo, hi = _windows(np.array([start, stop - 1]) / rate, window_s).tolist()
+    lo, hi = (start / rate) // window_s, ((stop - 1) / rate) // window_s
+    if 0 <= lo and hi < 2**63:
+        lo, hi = int(lo), int(hi)
+    else:
+        lo, hi = _windows(np.array([start, stop - 1]) / rate, window_s).tolist()
     if lo == hi:
         return np.array([0, n]), np.array([lo])
     if hi - lo < n - 1:
@@ -336,16 +358,16 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float):
     return _runs(_windows(np.arange(start, stop) / rate, window_s))
 
 
-def _label_blocks(mode: str, n_pulses: int, seed):
+def _label_blocks(mode: str, n_pulses: int, seed, size: int):
     """The emission sequence as int8 label codes, in blocks of at most
-    _BLOCK pulses (see generate_sequence)."""
+    ``size`` pulses (see generate_sequence)."""
     if n_pulses <= 0:
         raise ConfigurationError(f"n_pulses must be positive, got {n_pulses}")
     _SEQUENCE_MODES.check("mode", mode)
     SEED.check("seed", seed)
     rng = np.random.default_rng(seed) if mode == SEQUENCE_HVD else None
-    for start in range(0, n_pulses, _BLOCK):
-        stop = min(start + _BLOCK, n_pulses)
+    for start in range(0, n_pulses, size):
+        stop = min(start + size, n_pulses)
         if rng is None:
             yield _DA_CODES[np.arange(start, stop) % 2]
         else:
@@ -359,7 +381,7 @@ def generate_sequence(mode: str, n_pulses: int, seed) -> list[str]:
     numpy's default PCG64 generator, index order L, R, D; DA mode alternates
     D, A deterministically.
     """
-    codes = np.concatenate(list(_label_blocks(mode, n_pulses, seed)))
+    codes = np.concatenate(list(_label_blocks(mode, n_pulses, seed, _BLOCK)))
     return [LABEL_CODES[c] for c in codes.tolist()]
 
 
@@ -435,6 +457,34 @@ def _seed_feed():
     return Feed()
 
 
+class _LiveSet(NamedTuple):
+    """A block of pulses as _Tally.add counts it: run k of the block falls
+    in window ids[k] and holds sent[k, c] pulses of label code c (None when
+    every pulse is live); base is the tally index (run k, label code c) =
+    (k * 4 + c) * _SLOTS of each live pulse, in pulse order, to which its
+    outcome code is added."""
+
+    ids: np.ndarray
+    sent: np.ndarray | None
+    base: np.ndarray
+
+
+def _live_set(edges, ids, codes, live) -> _LiveSet:
+    """The _LiveSet of the pulses with label codes ``codes``, whose entries
+    edges[k]..edges[k+1]-1 fall in window ids[k] (see _runs), and whose
+    live pulses are codes[live] (ascending indices, or slice(None) for all)."""
+    n_labels = len(LABEL_CODES)
+    label_run = codes.astype(np.intp)
+    if len(ids) > 1:
+        label_run += np.repeat(np.arange(0, len(ids) * n_labels, n_labels), np.diff(edges))
+    sent = None
+    if not isinstance(live, slice):
+        sent = np.bincount(label_run, minlength=len(ids) * n_labels).reshape(len(ids), n_labels)
+        label_run = label_run[live]
+    label_run *= _SLOTS
+    return _LiveSet(ids, sent, label_run)
+
+
 class _Tally:
     """Pulse counts of one pipeline per (window, label code, tally slot),
     fed in pulse order so the random policy's coins are too."""
@@ -445,21 +495,26 @@ class _Tally:
         if double_click_policy == POLICY_RANDOM:
             self.coin = np.random.default_rng((assignment_seed, 0xD0))
 
-    def add(self, edges, ids, codes, outcomes) -> None:
-        """Count pulses with label codes ``codes`` and outcome codes
-        ``outcomes``, whose entries edges[k]..edges[k+1]-1 fall in window
-        ids[k] (see _runs)."""
-        flat = codes * np.intp(_SLOTS)
-        flat += outcomes
+    def add(self, block: _LiveSet, outcomes) -> None:
+        """Count a block whose live pulses end in the outcome codes
+        ``outcomes``, by one np.bincount over them; each other pulse ends in
+        none, so a cell's none slot also gets the label's pulses in that run
+        minus the live ones counted there."""
+        flat = block.base + outcomes
         if self.coin is not None:
             doubles = np.flatnonzero(outcomes == _DOUBLE)
             flat[doubles] += (_COIN_0 - _DOUBLE) + self.coin.integers(0, 2, size=len(doubles))
-        cell = len(LABEL_CODES) * _SLOTS
-        lo, hi = int(ids[0]), int(ids[-1]) + 1
-        if len(ids) > 1:
-            flat += np.repeat((ids - lo) * cell, np.diff(edges))
-        counts = np.bincount(flat, minlength=(hi - lo) * cell)
-        self.cells[lo:hi] += counts.reshape(hi - lo, len(LABEL_CODES), _SLOTS)
+        counts = np.bincount(flat, minlength=len(block.ids) * len(LABEL_CODES) * _SLOTS)
+        counts = counts.reshape(len(block.ids), len(LABEL_CODES), _SLOTS)
+        if block.sent is not None:
+            dead = block.sent - counts.sum(axis=-1)
+            assert dead.min() >= 0, "more live pulses than pulses sent in a (window, label) cell"
+            counts[..., _NONE] += dead
+        lo, hi = int(block.ids[0]), int(block.ids[-1]) + 1
+        if hi - lo == len(block.ids):
+            self.cells[lo:hi] += counts
+        else:  # windows without pulses between the block's runs
+            self.cells[block.ids] += counts
 
     def series(self, labels, window_s: float) -> QberSeries:
         """The windowed series for the label codes ``labels`` (ascending)."""
@@ -530,7 +585,10 @@ def sift_and_qber(
     if index:
         index = np.array(index)
         edges, ids = _runs(_windows(index / repetition_rate_hz, window_s))
-        tally.add(edges, ids, codes[index], np.array(outcomes, dtype=np.uint8))
+        outcomes = np.array(outcomes, dtype=np.uint8)
+        # a record with a click is live; the others are counted as none
+        live = np.flatnonzero(outcomes != _NONE)
+        tally.add(_live_set(edges, ids, codes[index], live), outcomes[live])
     return tally.series(np.unique(codes).tolist(), window_s)
 
 
@@ -569,7 +627,8 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     open_window = -1
     start = 0
     with _out_of_range_is_a_config_error():
-        for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed):
+        # blocks of a partly live run are twice as long (see _BLOCK)
+        for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed, _BLOCK if all_live else 2 * _BLOCK):
             stop = start + len(codes)
             edges, ids = _block_windows(start, stop, rate, window_s)
             pulses[ids] += np.diff(edges)
@@ -589,6 +648,7 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 rng_det.random(out=uniforms[a:b])
             # only these pulses can click (see click_bound); the others end in none
             live = slice(None) if all_live else np.flatnonzero(uniforms < bound)
+            block = _live_set(edges, ids, codes, live)
             # phase_difference is elementwise, so it runs on the live pulses
             # alone where phase_bound proves that no pulse of the block can
             # overflow there; elsewhere on all of them, so an overflow raises as before
@@ -597,22 +657,24 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 z_max = float(max(-normals.min(), normals.max()))
                 if phase_bound(enc, (stop - 1) / rate, z_max) >= PHASE_RANGE:
                     on, pick = slice(None), live
-            args = codes[on], np.arange(start, stop)[on] / rate if drifts else None, normals[on]
+            t = None
+            if drifts:
+                t = (np.arange(start, stop) if isinstance(on, slice) else on + start) / rate
+            args = codes[on], t, normals[on]
             start = stop
             u_live = uniforms[live]
             for inline, tally in zip(inline_flags, tallies):
                 x = phase_difference(*args, enc, inline)[pick]
-                outcomes = np.full(len(codes), _NONE, dtype=np.uint8)
                 # q0, q1 kept bound until the next block: freed earlier, glibc trims the heap and faults it in again
                 q0, q1 = branch_probabilities(x, det.basis)
-                outcomes[live] = sample_outcomes(joint_probabilities(q0, q1, mu, det), u_live)
-                tally.add(edges, ids, codes, outcomes)
+                tally.add(block, sample_outcomes(joint_probabilities(q0, q1, mu, det), u_live))
 
     # every pulse lands in some slot, so a label was sent iff it has counts
     labels = np.flatnonzero(tallies[0].cells.sum(axis=(0, 2))).tolist()
     results = []
     for tally in tallies:
         assert np.array_equal(tally.cells.sum(axis=(1, 2)), pulses), "outcomes per window != pulses sent"
+        assert tally.cells[..., _NONE].min() >= 0, "a none cell went negative"
         series = tally.series(labels, window_s)
         summary = series.label_stats()
         totals = np.stack(_sifted(tally.cells.sum(axis=0), labels), axis=-1).tolist()

@@ -1,6 +1,12 @@
+import functools
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -359,13 +365,104 @@ def test_outcome_and_summary_invariants():
     assert_run_invariants(config, paired.inline)
 
 
-@pytest.mark.parametrize("block", [7, 1000])
+def block_size_configs(policy):
+    """An all-live run (click bound above one half, blocks of _BLOCK
+    pulses) and a partly live drift comparison (bound below one half,
+    blocks of 2 * _BLOCK spanning up to hundreds of windows of 50 pulses),
+    with the double-click policy ``policy``."""
+    every = random_policy_config(duration_s=0.05, window_s=0.002, detector=DetectorParams(double_click_policy=policy))
+    drift = fast_drift_config()
+    drift = replace(drift, window_s=0.05, detector=replace(drift.detector, double_click_policy=policy))
+    return every, drift
+
+
+@functools.cache
+def block_size_references(policy):
+    every, drift = block_size_configs(policy)
+    return window_reversed_series(every, inline=False), [window_reversed_series(drift, inline) for inline in (False, True)]
+
+
+@pytest.mark.parametrize("block", [7, 1000, runner._BLOCK])
 def test_block_size_does_not_change_results(monkeypatch, block):
-    config = random_policy_config(duration_s=0.05, window_s=0.002)
-    expected = run_experiment(config)
     monkeypatch.setattr(runner, "_BLOCK", block)
-    assert run_experiment(config) == expected
-    assert expected.series == window_reversed_series(config, inline=False)
+    for policy in ("discard", "random"):
+        every, drift = block_size_configs(policy)
+        bounds = [click_bound(label_table(c.encoder).mu, c.detector) for c in (every, drift)]
+        assert bounds[0] >= runner._ALL_LIVE > bounds[1]
+        expected_every, expected_drift = block_size_references(policy)
+        assert run_experiment(every).series == expected_every
+        assert [r.series for r in drift_comparison(drift, drift.encoder.drift)] == expected_drift
+
+
+def live_tally_reference(n_windows, edges, ids, codes, live, outcomes, policy, seed):
+    """_Tally's cells counted pulse by pulse: a live pulse in its outcome's
+    slot (a double click in a coin's slot under the random policy, coins
+    drawn in pulse order), every other pulse in none."""
+    cells = np.zeros((n_windows, len(LABEL_CODES), runner._SLOTS), dtype=np.int64)
+    window = np.repeat(ids, np.diff(edges))
+    slots = np.full(len(codes), runner._NONE)
+    slots[live] = outcomes
+    if policy == "random":
+        doubles = np.flatnonzero(slots == runner._DOUBLE)
+        coins = np.random.default_rng((seed, 0xD0)).integers(0, 2, size=len(doubles))
+        slots[doubles] = runner._COIN_0 + coins
+    for w, c, slot in zip(window.tolist(), codes.tolist(), slots.tolist()):
+        cells[w, c, slot] += 1
+    return cells
+
+
+@pytest.mark.parametrize("policy", ["discard", "random"])
+def test_live_tally_counts_every_other_pulse_as_none(policy):
+    rng = np.random.default_rng(3)
+    n = 2000
+    # 150 window runs, some windows skipped; run 7 gets no live pulse
+    ids = np.sort(rng.choice(400, size=150, replace=False))
+    edges = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), size=149, replace=False)), [n]))
+    codes = rng.integers(0, len(LABEL_CODES), size=n).astype(np.int8)
+    live = np.flatnonzero(rng.random(n) < 0.3)
+    live = live[(live < edges[7]) | (live >= edges[8])]
+    # a live pulse may still end in none
+    outcomes = rng.integers(0, 4, size=len(live)).astype(np.uint8)
+    tally = runner._Tally(400, policy, 9)
+    block = runner._live_set(edges, ids, codes, live)
+    assert len(block.base) == len(live) and block.sent.shape == (150, len(LABEL_CODES))
+    tally.add(block, outcomes)
+    expected = live_tally_reference(400, edges, ids, codes, live, outcomes, policy, 9)
+    np.testing.assert_array_equal(tally.cells, expected)
+    # a none slot is the label's pulses in the window minus its live pulses
+    # that did not end in none
+    sent = np.zeros((400, len(LABEL_CODES)), dtype=np.int64)
+    np.add.at(sent, (np.repeat(ids, np.diff(edges)), codes), 1)
+    clicked = tally.cells.sum(axis=-1) - tally.cells[..., runner._NONE]
+    np.testing.assert_array_equal(tally.cells[..., runner._NONE], sent - clicked)
+    assert tally.cells[ids[7], :, runner._NONE].sum() == edges[8] - edges[7]
+    # the same block with every pulse live, its outcome codes none but for
+    # the live ones, gives the same cells
+    every = runner._Tally(400, policy, 9)
+    full = np.full(n, runner._NONE, dtype=np.uint8)
+    full[live] = outcomes
+    every.add(runner._live_set(edges, ids, codes, slice(None)), full)
+    np.testing.assert_array_equal(every.cells, expected)
+
+
+def test_sift_and_qber_counts_records_through_the_live_tally():
+    sequence = ["D", "A"] * 20
+    # windows of 10 pulses; window 2 has no click
+    outcomes = ["click_0", "none", "double", "click_1"] * 5 + ["none"] * 10 + ["click_1", "none"] * 5
+    records = [DetectionRecord(i, POST_PC_LABEL[label], outcome) for i, (label, outcome) in enumerate(zip(sequence, outcomes))]
+    blocks = []
+
+    def add(self, block, outcomes, method=runner._Tally.add):
+        blocks.append(block)
+        return method(self, block, outcomes)
+
+    with mock.patch.object(runner._Tally, "add", add):
+        series = sift_and_qber(records, sequence, 10.0, 1.0)
+    (block,) = blocks
+    assert len(block.base) == sum(outcome != "none" for outcome in outcomes)
+    clicks = [[outcomes[i] != "none" for i in range(w * 10, w * 10 + 10)].count(True) for w in range(4)]
+    assert series.outcome_counts[:, 3].tolist() == [10 - c for c in clicks]
+    assert series.outcome_counts.sum(axis=1).tolist() == [10] * 4
 
 
 def scalar_emitter(enc, inline):
@@ -653,9 +750,9 @@ def test_phase_bound_covers_the_phase_difference(case):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
 def test_window_streams_equal_default_rng(seed):
-    # windows from 40 below a _BLOCK boundary (a multiple of _SEED_BATCH) to the last
-    first = runner._BLOCK - 40
-    streams = list(islice(runner._window_streams(seed, runner._BLOCK + 40), first, None))
+    # windows from 40 below the eighth _SEED_BATCH boundary to 40 above it
+    first = 8 * runner._SEED_BATCH - 40
+    streams = list(islice(runner._window_streams(seed, first + 80), first, None))
     assert len(streams) == 80
     feed = runner._seed_feed()
     for w, words in enumerate(streams, start=first):
@@ -667,6 +764,51 @@ def test_window_streams_equal_default_rng(seed):
             assert rng.bit_generator.state == oracle.bit_generator.state
             np.testing.assert_array_equal(rng.standard_normal(5), oracle.standard_normal(5))
             np.testing.assert_array_equal(rng.random(5), oracle.random(5))
+
+
+# Runs a fig2 run of 2.4 M pulses twice in a fresh interpreter, whose
+# glibc mmap threshold has not been raised by a large free, and prints the
+# second run's minor page faults per block.
+FAULT_PROBE = """
+import resource
+from dataclasses import replace
+from pognac import presets, runner
+config = presets.preset_config("fig2")
+config = replace(config, duration_s=4 * config.duration_s, window_s=4 * config.window_s)
+runner._BLOCK = {block}
+runner.run_experiment(config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+runner.run_experiment(config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / -(-config.n_pulses() // (2 * runner._BLOCK)))
+"""
+
+
+def block_faults(block):
+    env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))
+    code = FAULT_PROBE.format(block=block)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+def test_blocks_stay_under_the_mmap_threshold():
+    # fig2's click bound is 0.22, so its blocks hold 2 * _BLOCK pulses. In
+    # ten fresh interpreters each (2-vCPU VM, python 3.11.7, numpy 2.4.6)
+    # the second run took 0.69 faults per block at _BLOCK = 8160, all of
+    # them once per run, and 11.6 at 12000 and 44.6 at 16320, whose float64
+    # temporaries are mapped, or trimmed from the heap, per block
+    assert block_faults(runner._BLOCK) < 3
+    assert block_faults(2 * runner._BLOCK) > 3
+
+
+def test_block_windows_out_of_range_fails_as_numpy_does():
+    # a block end past the int64 range takes numpy's path: under the kernel's
+    # error state a FloatingPointError, which the run reports as a config
+    # error, never an OverflowError from int()
+    for start, stop, rate, window_s in [(0, 2, 1e-320, 1.0), (3, 5, 1.0, 5e-324), (0, 2, 1.0, 1e-300)]:
+        with np.errstate(over="raise", invalid="raise", divide="raise"), pytest.raises(FloatingPointError):
+            runner._block_windows(start, stop, rate, window_s)
 
 
 def test_windows_without_pulses_skip_their_streams():
@@ -688,7 +830,7 @@ def block_windows_cases(draw):
         window_s = 10.0**exponent / rate
     start = draw(st.sampled_from([0, 10**4, 10**7, 10**9, 10**11])) + draw(st.integers(0, 10**5))
     # at most one block of pulses, so memory stays bounded whatever the draw
-    stop = start + draw(st.sampled_from([runner._BLOCK, runner._BLOCK - 1, 1000, 7, 2, 1]))
+    stop = start + draw(st.sampled_from([2 * runner._BLOCK, runner._BLOCK, runner._BLOCK - 1, 1000, 7, 2, 1]))
     return rate, window_s, start, stop
 
 
@@ -709,15 +851,16 @@ def test_block_windows_match_the_per_pulse_formula(case):
     run_starts = np.flatnonzero(np.diff(expected)) + 1
     np.testing.assert_array_equal(edges, np.concatenate(([0], run_starts, [stop - start])))
     np.testing.assert_array_equal(ids, expected[edges[:-1]])
-    # a block is evaluated at its two ends, then, if it spans fewer windows
-    # than it has pulses, at five pulses around each boundary, not pulse by pulse
+    # a block's two ends are evaluated on Python floats; then, if it spans
+    # fewer windows than it has pulses, the formula runs at five pulses
+    # around each boundary, not pulse by pulse
     boundaries = int(expected[-1] - expected[0])
     if boundaries == 0:
-        assert sizes == [2]
+        assert sizes == []
     elif boundaries < stop - start - 1:
-        assert sizes == [2, 5 * boundaries]
+        assert sizes == [5 * boundaries]
     else:
-        assert sizes == [2, stop - start]
+        assert sizes == [stop - start]
 
 
 def rendered_row_by_row(rows):

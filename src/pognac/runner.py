@@ -19,7 +19,7 @@ block can overflow in phase_difference; elsewhere phase_difference runs
 on every pulse, so an overflow is reported as it always was. From a
 click bound of one half, the live set is the whole block, as a slice.
 Such a block holds _BLOCK pulses; a partly live one holds 2 * _BLOCK,
-which keeps every temporary under glibc's mmap threshold (see _BLOCK).
+which halves the fixed cost per block (see _BLOCK).
 
 The tally is O(live) per pipeline (_live_set, _Tally.add): per block,
 one np.bincount counts the pulses of each (window run, label), shared by
@@ -100,15 +100,14 @@ _DA_CODES = np.array([label_code("D"), label_code("A")], dtype=np.int8)
 # Pulses per kernel call of a run whose every pulse is live; a run with a
 # click bound below _ALL_LIVE takes 2 * _BLOCK, since its chain runs on the
 # live set, a fraction of the block. Whatever the run or window length, a
-# block's arrays are then at most 2 * _BLOCK float64 or intp, 130 560 B,
-# under glibc's 128 KiB mmap threshold (a fresh process maps 2**14 of them),
-# so the kernel's temporaries are reused from the heap. Longer arrays are
-# mapped, or trimmed from the heap, between blocks and paged in afresh: a
-# second run of 2.4 M fig2 pulses took 11.6 minor faults per block at
-# _BLOCK = 12000 and 0.69 at 8160.
+# block's arrays are then at most 2 * _BLOCK float64 or intp (128 KiB), which
+# glibc reuses from the heap once a run's first freed block has raised its
+# mmap threshold: a second run of 2.4 M fig2 pulses took about 2 minor
+# faults per block, and 47 at twice this _BLOCK, whose longer arrays are
+# mapped or trimmed away between blocks and paged in afresh.
 # All-live runs keep _BLOCK: their chain of block-sized temporaries ran
 # slower at twice it.
-_BLOCK = 8160
+_BLOCK = 1 << 13
 
 # Caps on one run, checked by RunConfig before anything is allocated: the
 # tally holds 24 int64 per window and pipeline, and the kernel runs at a
@@ -473,16 +472,14 @@ def _live_set(edges, ids, codes, live) -> _LiveSet:
     """The _LiveSet of the pulses with label codes ``codes``, whose entries
     edges[k]..edges[k+1]-1 fall in window ids[k] (see _runs), and whose
     live pulses are codes[live] (ascending indices, or slice(None) for all)."""
-    n_labels = len(LABEL_CODES)
-    label_run = codes.astype(np.intp)
+    cell = len(LABEL_CODES) * _SLOTS
+    base = codes * np.intp(_SLOTS)
     if len(ids) > 1:
-        label_run += np.repeat(np.arange(0, len(ids) * n_labels, n_labels), np.diff(edges))
-    sent = None
-    if not isinstance(live, slice):
-        sent = np.bincount(label_run, minlength=len(ids) * n_labels).reshape(len(ids), n_labels)
-        label_run = label_run[live]
-    label_run *= _SLOTS
-    return _LiveSet(ids, sent, label_run)
+        base += np.repeat(np.arange(0, len(ids) * cell, cell), np.diff(edges))
+    if isinstance(live, slice):
+        return _LiveSet(ids, None, base)
+    sent = np.bincount(base, minlength=len(ids) * cell)[::_SLOTS]
+    return _LiveSet(ids, sent.reshape(len(ids), len(LABEL_CODES)), base[live])
 
 
 class _Tally:
@@ -510,11 +507,7 @@ class _Tally:
             dead = block.sent - counts.sum(axis=-1)
             assert dead.min() >= 0, "more live pulses than pulses sent in a (window, label) cell"
             counts[..., _NONE] += dead
-        lo, hi = int(block.ids[0]), int(block.ids[-1]) + 1
-        if hi - lo == len(block.ids):
-            self.cells[lo:hi] += counts
-        else:  # windows without pulses between the block's runs
-            self.cells[block.ids] += counts
+        self.cells[block.ids] += counts
 
     def series(self, labels, window_s: float) -> QberSeries:
         """The windowed series for the label codes ``labels`` (ascending)."""
@@ -674,7 +667,6 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     results = []
     for tally in tallies:
         assert np.array_equal(tally.cells.sum(axis=(1, 2)), pulses), "outcomes per window != pulses sent"
-        assert tally.cells[..., _NONE].min() >= 0, "a none cell went negative"
         series = tally.series(labels, window_s)
         summary = series.label_stats()
         totals = np.stack(_sifted(tally.cells.sum(axis=0), labels), axis=-1).tolist()

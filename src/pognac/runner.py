@@ -8,8 +8,8 @@ branch_probabilities (the analyzer's branch powers in closed form) ->
 joint_probabilities -> sample_outcomes (uint8 outcome codes) -> the
 tally's np.bincount over (window, label, outcome). No Jones vector is
 built per pulse, emission times are computed only when the loop drifts,
-and each block's windows come from its window boundaries
-(_block_windows), not from every pulse.
+and each block's windows are sliced from where each window of the run
+begins (_first_pulses, _block_windows), not taken from every pulse.
 The chance of no click is the same for every pulse, so the live set, the
 pulses whose detection draw lies below receiver.click_bound, is taken
 right after the draws; the others end in none, as sample_outcomes would
@@ -28,7 +28,7 @@ pulses by (window run, label, outcome), and a cell's none slot also gets
 the label's pulses in that run minus the live ones counted there. A
 block that is live as a whole skips the first count: it derives no none.
 sift_and_qber counts its records the same way, those with a click live.
-Peak memory is O(block), not O(run), beyond the tally's cells.
+Peak memory is O(block), not O(run), beyond the per-window tally and starts.
 
 A QberSeries holds its counts as read-only int64 columns of shape
 [window, label]; its CSV is rendered from them _CSV_WINDOWS windows at a
@@ -40,10 +40,10 @@ window draws its emission and detection randomness from streams seeded
 identically to np.random.default_rng((detection_seed, window, 0|1)), and
 the coins that assign double clicks under the random policy come from one
 run-wide generator; every stream is consumed in pulse order. The window
-streams' seed words are computed 1024 windows at a time (_window_streams),
-and each window that holds pulses gets its own Generator(PCG64) per role,
-built from them: one reused seed sequence (_seed_feed) hands each PCG64
-its words.
+streams' seed words are handed over in batches of up to _SEED_BATCH
+windows (_window_streams), and each window that holds pulses gets its own
+Generator(PCG64) per role, built from them: one reused seed sequence
+(_seed_feed) hands each PCG64 its words.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -116,7 +115,7 @@ _BLOCK = 1 << 13
 _MAX_WINDOWS = 1 << 20
 _MAX_PULSES = 1 << 40
 
-# Windows whose stream seeds are computed in one array pass.
+# Windows whose stream seeds, or first pulses, are computed in one array pass.
 _SEED_BATCH = 1 << 10
 
 # Windows of one piece of CSV text (QberSeries.csv_chunks): a few MB of
@@ -321,22 +320,37 @@ def _runs(windows):
     return edges, windows[edges[:-1]]
 
 
-def _block_windows(start: int, stop: int, rate: float, window_s: float):
+def _first_pulses(lo: int, hi: int, rate: float, window_s: float):
+    """The pulse at which each window lo..hi-1 begins, as _windows(i / rate,
+    window_s) places pulse i, or None if a bracket misses: the index is
+    monotone in i, so window w begins at the first pulse whose window is w
+    or later, predicted to be ceil(w * window_s * rate), and the formula is
+    evaluated only at the five pulses within two of each prediction, which
+    must bracket it, _SEED_BATCH windows at a time."""
+    firsts = np.empty(hi - lo, dtype=np.int64)
+    for a in range(lo, hi, _SEED_BATCH):
+        w = np.arange(a, min(a + _SEED_BATCH, hi))
+        bracket = np.ceil(w * window_s * rate).astype(np.int64)[:, None] + np.arange(-2, 3)
+        before = _windows(bracket / rate, window_s) < w[:, None]
+        if not before[:, 0].all() or before[:, -1].any():
+            return None
+        np.add(bracket[:, 0], before.sum(axis=1), out=firsts[a - lo : a - lo + len(w)])
+    return firsts
+
+
+def _block_windows(start: int, stop: int, rate: float, window_s: float, firsts):
     """Windows of pulses start..stop-1, as _windows(i / rate, window_s) gives
     them, in runs: (edges, ids), where pulses edges[k]..edges[k+1]-1 of the
     block fall in window ids[k]. Only windows that hold pulses have a run.
 
-    The window index is monotone in the pulse index, so window w begins at
-    the first pulse whose window is w or later, predicted to be
-    ceil(w * window_s * rate). The windows of the block's two ends come
-    from Python floats, whose division and floor division are numpy's bit
-    for bit; a value past the int64 range (or nan) takes numpy's path, with
-    its warnings or errors. A block inside one window is one run;
-    otherwise the formula is evaluated only at the five pulses within two
-    of each prediction, which must bracket the boundary.
-    A block that spans as many windows as it has pulses (windows shorter
-    than a pulse period), or with a bracket that misses, is evaluated pulse
-    by pulse, so memory stays O(block) whatever window_s * rate is.
+    The windows of the block's two ends come from Python floats, whose
+    division and floor division are numpy's bit for bit; a value past the
+    int64 range (or nan) takes numpy's path, with its warnings or errors.
+    A block inside one window is one run. Otherwise the block's windows
+    begin where ``firsts``, the _first_pulses of the run's windows from
+    window 0, says; where that is None (a bracket missed, or the run has
+    as many windows as pulses), the block is evaluated pulse by pulse, so
+    memory stays O(block) whatever window_s * rate is.
     """
     n = stop - start
     lo, hi = (start / rate) // window_s, ((stop - 1) / rate) // window_s
@@ -346,15 +360,11 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float):
         lo, hi = _windows(np.array([start, stop - 1]) / rate, window_s).tolist()
     if lo == hi:
         return np.array([0, n]), np.array([lo])
-    if hi - lo < n - 1:
-        w = np.arange(lo + 1, hi + 1)
-        bracket = np.ceil(w * window_s * rate).astype(np.int64)[:, None] + np.arange(-2, 3)
-        before = _windows(bracket / rate, window_s) < w[:, None]
-        if before[:, 0].all() and not before[:, -1].any():
-            edges = np.concatenate(([start], bracket[:, 0] + before.sum(axis=1), [stop])) - start
-            full = np.flatnonzero(np.diff(edges))
-            return np.append(edges[full], n), lo + full
-    return _runs(_windows(np.arange(start, stop) / rate, window_s))
+    if firsts is None:
+        return _runs(_windows(np.arange(start, stop) / rate, window_s))
+    edges = np.concatenate(([start], firsts[lo + 1 : hi + 1], [stop])) - start
+    full = np.flatnonzero(np.diff(edges))
+    return np.append(edges[full], n), lo + full
 
 
 def _label_blocks(mode: str, n_pulses: int, seed, size: int):
@@ -365,10 +375,12 @@ def _label_blocks(mode: str, n_pulses: int, seed, size: int):
     _SEQUENCE_MODES.check("mode", mode)
     SEED.check("seed", seed)
     rng = np.random.default_rng(seed) if mode == SEQUENCE_HVD else None
+    tile = _DA_CODES[np.arange(size + 1) % 2]  # D, A, D, ...: each DA block is a view of it
+    tile.flags.writeable = False
     for start in range(0, n_pulses, size):
         stop = min(start + size, n_pulses)
         if rng is None:
-            yield _DA_CODES[np.arange(start, stop) % 2]
+            yield tile[start % 2 : start % 2 + stop - start]
         else:
             yield rng.integers(0, 3, size=stop - start).astype(np.int8)
 
@@ -406,39 +418,37 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _window_streams(seed: int, n_windows: int):
-    """Yield, for w = 0, 1, ..., n_windows - 1, a uint64 array of shape
-    (2, 4): the seed words for which PCG64 starts where
-    np.random.default_rng((seed, w, 0)) and default_rng((seed, w, 1)) do,
-    when _seed_feed() hands them over (see _simulate).
+def _window_streams(seed: int, lo: int, hi: int):
+    """The seed words of windows lo..hi-1, as a uint64 array of shape
+    (2, hi - lo, 4) whose entry [k, w - lo] holds the four words for which
+    PCG64 starts where np.random.default_rng((seed, w, k)) does, role k = 0
+    (emission) or 1 (detection), when _seed_feed() hands them over.
 
-    The words of each role are the generate_state(4, uint64) words of
-    numpy's SeedSequence (entropy mixed into a pool of four uint32 words),
-    computed on uint32 arrays for _SEED_BATCH windows and both roles at
-    once. Each window index is a single entropy word because
-    w < _MAX_WINDOWS < 2**32.
+    The words are the generate_state(4, uint64) words of numpy's
+    SeedSequence (entropy mixed into a pool of four uint32 words), computed
+    on uint32 arrays for all the windows and both roles at once. Each
+    window index is a single entropy word because w < _MAX_WINDOWS < 2**32.
     """
     seed = int(seed)
     seed_words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    for lo in range(0, n_windows, _SEED_BATCH):
-        windows = np.arange(lo, min(lo + _SEED_BATCH, n_windows), dtype=np.uint32)
-        shape = (len(windows), 2)
-        entropy = [np.full(shape, x, np.uint32) for x in seed_words]
-        entropy += [np.broadcast_to(windows[:, None], shape), np.broadcast_to(np.uint32([0, 1]), shape)]
-        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(shape, np.uint32)) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = _mix(pool[dst], hashmix(word))
-        hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-        out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-        # little-endian uint32 pairs -> the uint64 words, contiguous per (window, role),
-        # as PCG64's set-seed reads them
-        yield from np.stack([out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=-1)
+    windows = np.arange(lo, hi, dtype=np.uint32)
+    shape = (2, len(windows))
+    entropy = [np.full(shape, x, np.uint32) for x in seed_words]
+    entropy += [np.broadcast_to(windows, shape), np.broadcast_to(np.uint32([[0], [1]]), shape)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(shape, np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # little-endian uint32 pairs -> the uint64 words, contiguous per (role, window),
+    # as PCG64's set-seed reads them
+    return np.stack([out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=-1)
 
 
 def _seed_feed():
@@ -614,16 +624,17 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     all_live = bound >= _ALL_LIVE
     drifts = enc.drift.kind != DRIFT_NONE
     pulses = np.zeros(n_windows, dtype=np.int64)
-    seeds = _window_streams(config.detection_seed, n_windows)
     feed = _seed_feed()
     Generator, PCG64 = np.random.Generator, np.random.PCG64
-    open_window = -1
+    open_window = batch_hi = -1
     start = 0
     with _out_of_range_is_a_config_error():
+        # a run with as many windows as pulses evaluates each pulse's window instead
+        firsts = _first_pulses(0, n_windows, rate, window_s) if n_windows < n else None
         # blocks of a partly live run are twice as long (see _BLOCK)
         for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed, _BLOCK if all_live else 2 * _BLOCK):
             stop = start + len(codes)
-            edges, ids = _block_windows(start, stop, rate, window_s)
+            edges, ids = _block_windows(start, stop, rate, window_s, firsts)
             pulses[ids] += np.diff(edges)
             normals = np.empty(len(codes))
             uniforms = np.empty(len(codes))
@@ -631,10 +642,12 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
                 # a window continued from the previous block keeps its streams;
                 # windows without pulses get none
                 if w != open_window:
-                    skip = w - open_window - 1
-                    feed.words, words_det = next(islice(seeds, skip, None) if skip else seeds)
+                    if w >= batch_hi:
+                        batch_lo, batch_hi = w, min(w + _SEED_BATCH, n_windows)
+                        words_emit, words_det = _window_streams(config.detection_seed, batch_lo, batch_hi)
+                    feed.words = words_emit[w - batch_lo]
                     rng_emit = Generator(PCG64(feed))
-                    feed.words = words_det
+                    feed.words = words_det[w - batch_lo]
                     rng_det = Generator(PCG64(feed))
                     open_window = w
                 rng_emit.standard_normal(out=normals[a:b])

@@ -4,11 +4,13 @@ for shortened preset runs and random-policy custom runs.
 The pins were recorded with the per-pulse object pipeline that the
 window-streamed kernel replaced, except the multi-word seed pin, recorded
 with that kernel while it still built each window's generators with
-np.random.default_rng, and the fig3 pin, recorded with the kernel whose
-drive model is a single pulse per slot, before presets were built by one
-constructor. A run is a pure function of (config, seeds), so
-however the work is chunked, vectorised or seeded these bytes must not
-move; a change that moves one changes results.
+np.random.default_rng; the fig3 pin, recorded with the kernel whose drive
+model is a single pulse per slot, before presets were built by one
+constructor; and the short_windows pin, recorded with the kernel that
+handed over each window's seed words one window at a time. A run is a
+pure function of (config, seeds), so however the work is chunked,
+vectorised or seeded these bytes must not move; a change that moves one
+changes results.
 """
 
 import contextlib
@@ -35,16 +37,34 @@ sequence_seed = 17
 detection_seed = 18
 """
 
-# case -> (scenario, shortened preset duration in s or None for custom,
-# --seed override or None)
+# The short_windows benchmark's shape, shortened to an odd 20511 pulses:
+# windows of 100 pulses, D/A alternating into a DA analyzer, double clicks
+# coin-assigned.
+SHORT_WINDOWS_CONFIG = """\
+phase_jitter_sigma_rad = 0.2259
+drive_jitter_sigma_rad = 0.0436
+attenuator_loss_db = 54.0
+measure_basis = DA
+double_click_policy = random
+sequence_mode = da-alternating
+repetition_rate_hz = 1000000.0
+duration_s = 0.020511
+window_s = 0.0001
+sequence_seed = 7
+detection_seed = 8
+"""
+
+# case -> (scenario, shortened preset duration in s or the config text of a
+# custom run, --seed override or None)
 CASES = {
     "fig2": ("fig2", 9.0, None),
     "fig3": ("fig3", 9.0, None),
     "fig4": ("fig4", 9.0, None),
     "drift": ("drift", 30.0, None),
-    "random_policy": ("custom", None, None),
+    "random_policy": ("custom", RANDOM_POLICY_CONFIG, None),
     # 2**32 + 5: a detection seed of two uint32 words of entropy
-    "multi_word_seed": ("custom", None, 2**32 + 5),
+    "multi_word_seed": ("custom", RANDOM_POLICY_CONFIG, 2**32 + 5),
+    "short_windows": ("custom", SHORT_WINDOWS_CONFIG, None),
 }
 
 PINS = {
@@ -69,6 +89,10 @@ PINS = {
         "out.csv": "edb15ac10e4721c60d60ab3171a594001685b1f44e601934219e2bbd10ce31f1",
         "stdout": "c2a25fdbe31e4d239c34714f51b423360ebf64d63153f042257a757d30706eea",
     },
+    "short_windows": {
+        "out.csv": "8d8ec7f40f8bee4599ebb77af970b9a25a3567f846010866140c6e909b6d27c8",
+        "stdout": "d6e174cd08351dd226bd14a5a9c5a87ebe648879afc6183b637a4d3403c94f01",
+    },
     "random_policy": {
         "out.csv": "c2f09fdd5a18fbf9be54e6cff70fd5419b28f54cc4590e3fabfa2f48b13de6b8",
         "stdout": "c83ab21007feaf6243219d7247526dbecc1add145204b77d22eaf4b2da973a21",
@@ -81,9 +105,9 @@ def run_case(case: str, workdir: Path) -> dict[str, str]:
     file and of stdout, by name."""
     scenario, duration, seed = CASES[case]
     config_path = None
-    if duration is None:
+    if scenario == "custom":
         config_path = workdir / "run.cfg"
-        config_path.write_text(RANDOM_POLICY_CONFIG)
+        config_path.write_text(duration)
     shortened = lambda name: replace(presets.preset_config(name), duration_s=duration)
     stdout = io.StringIO()
     with mock.patch.object(cli, "preset_config", shortened), contextlib.redirect_stdout(stdout):

@@ -5,7 +5,7 @@ import platform
 import subprocess
 import sys
 from dataclasses import replace
-from itertools import islice
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -80,6 +80,15 @@ def quiet_config(**kw):
 
 def test_generate_sequence_da_alternates():
     assert generate_sequence(SEQUENCE_DA, 4, 0) == ["D", "A", "D", "A"]
+
+
+@pytest.mark.parametrize("size", [7, 1000, runner._BLOCK])
+def test_da_label_blocks_alternate_from_d(size):
+    n = 2 * runner._BLOCK + 1001  # odd, so the last block ends mid-tile at every size
+    blocks = list(runner._label_blocks(SEQUENCE_DA, n, 0, size))
+    assert [len(b) for b in blocks] == [min(size, n - start) for start in range(0, n, size)]
+    assert all(b.dtype == np.int8 and not b.flags.writeable for b in blocks)
+    assert [LABEL_CODES[c] for c in np.concatenate(blocks).tolist()] == ["DA"[i % 2] for i in range(n)]
 
 
 def test_generate_sequence_reproducible():
@@ -366,31 +375,36 @@ def test_outcome_and_summary_invariants():
 
 
 def block_size_configs(policy):
-    """An all-live run (click bound above one half, blocks of _BLOCK
-    pulses) and a partly live drift comparison (bound below one half,
-    blocks of 2 * _BLOCK spanning up to hundreds of windows of 50 pulses),
-    with the double-click policy ``policy``."""
+    """Two all-live runs (click bound above one half, blocks of _BLOCK
+    pulses), HVD and D/A alternating into a DA analyzer, and a partly live
+    drift comparison (bound below one half, blocks of 2 * _BLOCK spanning up
+    to hundreds of windows of 50 pulses), with the double-click policy
+    ``policy``."""
     every = random_policy_config(duration_s=0.05, window_s=0.002, detector=DetectorParams(double_click_policy=policy))
+    da = replace(every, sequence_mode=SEQUENCE_DA, detector=replace(every.detector, basis=BASIS_DA))
     drift = fast_drift_config()
     drift = replace(drift, window_s=0.05, detector=replace(drift.detector, double_click_policy=policy))
-    return every, drift
+    return (every, da), drift
 
 
 @functools.cache
 def block_size_references(policy):
-    every, drift = block_size_configs(policy)
-    return window_reversed_series(every, inline=False), [window_reversed_series(drift, inline) for inline in (False, True)]
+    live, drift = block_size_configs(policy)
+    return [window_reversed_series(c, inline=False) for c in live], [
+        window_reversed_series(drift, inline) for inline in (False, True)
+    ]
 
 
 @pytest.mark.parametrize("block", [7, 1000, runner._BLOCK])
 def test_block_size_does_not_change_results(monkeypatch, block):
     monkeypatch.setattr(runner, "_BLOCK", block)
     for policy in ("discard", "random"):
-        every, drift = block_size_configs(policy)
-        bounds = [click_bound(label_table(c.encoder).mu, c.detector) for c in (every, drift)]
-        assert bounds[0] >= runner._ALL_LIVE > bounds[1]
-        expected_every, expected_drift = block_size_references(policy)
-        assert run_experiment(every).series == expected_every
+        live, drift = block_size_configs(policy)
+        for c in live:
+            assert click_bound(label_table(c.encoder).mu, c.detector) >= runner._ALL_LIVE
+        assert click_bound(label_table(drift.encoder).mu, drift.detector) < runner._ALL_LIVE
+        expected_live, expected_drift = block_size_references(policy)
+        assert [run_experiment(c).series for c in live] == expected_live
         assert [r.series for r in drift_comparison(drift, drift.encoder.drift)] == expected_drift
 
 
@@ -750,15 +764,13 @@ def test_phase_bound_covers_the_phase_difference(case):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
 def test_window_streams_equal_default_rng(seed):
-    # windows from 40 below a _BLOCK boundary (a multiple of _SEED_BATCH) to the last
-    first = runner._BLOCK - 40
-    streams = list(islice(runner._window_streams(seed, runner._BLOCK + 40), first, None))
-    assert len(streams) == 80
+    # the first windows, and the last ones below the cap
     feed = runner._seed_feed()
-    for w, words in enumerate(streams, start=first):
-        assert words.shape == (2, 4) and words.dtype == np.uint64
-        for k in (0, 1):
-            feed.words = words[k]
+    for lo, hi in [(0, 40), (runner._MAX_WINDOWS - 40, runner._MAX_WINDOWS)]:
+        roles = runner._window_streams(seed, lo, hi)
+        assert roles.shape == (2, hi - lo, 4) and roles.dtype == np.uint64
+        for (k, words), w in product(enumerate(roles), range(lo, hi)):
+            feed.words = words[w - lo]
             rng = np.random.Generator(np.random.PCG64(feed))
             oracle = np.random.default_rng((seed, w, k))
             assert rng.bit_generator.state == oracle.bit_generator.state
@@ -814,13 +826,20 @@ def test_block_windows_out_of_range_fails_as_numpy_does():
     # error, never an OverflowError from int()
     for start, stop, rate, window_s in [(0, 2, 1e-320, 1.0), (3, 5, 1.0, 5e-324), (0, 2, 1.0, 1e-300)]:
         with np.errstate(over="raise", invalid="raise", divide="raise"), pytest.raises(FloatingPointError):
-            runner._block_windows(start, stop, rate, window_s)
+            runner._block_windows(start, stop, rate, window_s, None)
 
 
-def test_windows_without_pulses_skip_their_streams():
+def test_windows_without_pulses_skip_their_streams(monkeypatch):
     # a pulse every 1 ms, windows of 0.3 ms: most windows hold no pulse
     config = random_policy_config(repetition_rate_hz=1e3, duration_s=0.05, window_s=3e-4)
-    assert window_reversed_series(config, inline=False) == run_experiment(config).series
+    expected = window_reversed_series(config, inline=False)
+    assert run_experiment(config).series == expected
+    # pulses in windows 0, 3, 6, 10, 13, ...: with seed batches of 3 windows
+    # every batch holds one such window, with batches of 7 up to three, and
+    # windows without pulses straddle the batch boundaries
+    for batch in (3, 7):
+        monkeypatch.setattr(runner, "_SEED_BATCH", batch)
+        assert run_experiment(config).series == expected
 
 
 @st.composite
@@ -845,28 +864,36 @@ def block_windows_cases(draw):
 def test_block_windows_match_the_per_pulse_formula(case):
     rate, window_s, start, stop = case
     expected = runner._windows(np.arange(start, stop) / rate, window_s)
+    lo, hi = int(expected[0]), int(expected[-1])
     sizes = []
 
     def windows(t, window_s, formula=runner._windows):
         sizes.append(np.size(t))
         return formula(t, window_s)
 
-    with mock.patch.object(runner, "_windows", windows):
-        edges, ids = runner._block_windows(start, stop, rate, window_s)
-    np.testing.assert_array_equal(np.repeat(ids, np.diff(edges)), expected)
-    run_starts = np.flatnonzero(np.diff(expected)) + 1
-    np.testing.assert_array_equal(edges, np.concatenate(([0], run_starts, [stop - start])))
-    np.testing.assert_array_equal(ids, expected[edges[:-1]])
-    # a block's two ends are evaluated on Python floats; then, if it spans
-    # fewer windows than it has pulses, the formula runs at five pulses
-    # around each boundary, not pulse by pulse
-    boundaries = int(expected[-1] - expected[0])
-    if boundaries == 0:
-        assert sizes == []
-    elif boundaries < stop - start - 1:
-        assert sizes == [5 * boundaries]
-    else:
-        assert sizes == [stop - start]
+    # the pulse at which each later window of the block begins, bracketed at
+    # five pulses around each predicted boundary, _SEED_BATCH windows at a time
+    if hi - lo < stop - start:
+        with mock.patch.object(runner, "_windows", windows):
+            firsts = runner._first_pulses(lo + 1, hi + 1, rate, window_s)
+        np.testing.assert_array_equal(firsts, start + np.searchsorted(expected, np.arange(lo + 1, hi + 1)))
+        assert sum(sizes) == 5 * (hi - lo) and max(sizes, default=0) <= 5 * runner._SEED_BATCH
+    # a block's two ends are evaluated on Python floats; a block that spans
+    # windows slices its runs from the first pulses of the run's windows,
+    # where they are given from window 0 (here while they are few), and
+    # otherwise evaluates the formula pulse by pulse
+    run_firsts = [None]
+    if hi < 1 << 16:
+        run_firsts.append(runner._first_pulses(0, hi + 1, rate, window_s))
+    for firsts in run_firsts:
+        sizes.clear()
+        with mock.patch.object(runner, "_windows", windows):
+            edges, ids = runner._block_windows(start, stop, rate, window_s, firsts)
+        np.testing.assert_array_equal(np.repeat(ids, np.diff(edges)), expected)
+        run_starts = np.flatnonzero(np.diff(expected)) + 1
+        np.testing.assert_array_equal(edges, np.concatenate(([0], run_starts, [stop - start])))
+        np.testing.assert_array_equal(ids, expected[edges[:-1]])
+        assert sizes == ([] if lo == hi or firsts is not None else [stop - start])
 
 
 def rendered_row_by_row(rows):

@@ -3,14 +3,18 @@ series, and human-readable summaries.
 
 Exit status: 0 success, 2 configuration problem, 3 I/O problem. All
 diagnostics go to stderr. Identical inputs and seeds produce byte-identical
-output files.
+output files. A run writes each CSV to a temporary file beside it as its
+windows close, and puts the files in place only once all are complete: a
+run that fails leaves the output paths as they were.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, fields, is_dataclass, replace
 from decimal import Context, Decimal, InvalidOperation
 from functools import reduce
@@ -19,14 +23,7 @@ from typing import NamedTuple
 
 from .errors import ConfigFileError, ConfigurationError, Rule
 from .presets import PRESETS, preset_config
-from .runner import (
-    DriftComparisonResult,
-    QberSeries,
-    RunConfig,
-    RunResult,
-    drift_comparison,
-    run_experiment,
-)
+from .runner import LabelStats, RunConfig, _stream_csv
 
 _GENERATOR_NOTES = {
     "hvd-pseudorandom": "numpy default_rng (PCG64); uniform integers 0..2 mapped to L,R,D",
@@ -233,9 +230,9 @@ def _format_stat(x: float) -> str:
     return "nan" if math.isnan(x) else f"{x:.6f}"
 
 
-def summary_text(result: RunResult) -> str:
+def summary_text(summary: dict[str, LabelStats]) -> str:
     lines = [f"{'label':<6}{'n_correct':>10}{'n_error':>9}{'n_discarded':>13}{'qber':>10}{'stderr':>10}"]
-    for label, s in result.summary.items():
+    for label, s in summary.items():
         lines.append(
             f"{label:<6}{s.n_correct:>10}{s.n_error:>9}{s.n_discarded:>13}"
             f"{_format_stat(s.qber):>10}{_format_stat(s.stderr):>10}"
@@ -243,9 +240,9 @@ def summary_text(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_csv(result: RunResult) -> str:
+def summary_csv(summary: dict[str, LabelStats]) -> str:
     lines = ["sent_label,n_correct,n_error,n_discarded,qber,stderr"]
-    for label, s in result.summary.items():
+    for label, s in summary.items():
         lines.append(f"{label},{s.n_correct},{s.n_error},{s.n_discarded},{s.qber!r},{s.stderr!r}")
     return "\n".join(lines) + "\n"
 
@@ -260,14 +257,41 @@ def _check_writable(*paths: Path) -> None:
             raise OSError(f"cannot write {path}: no directory {path.parent}")
 
 
-def _write(path: Path, header: str, series: QberSeries) -> None:
-    """The provenance header, then the series' CSV piece by piece."""
+def _new_file_mode() -> int:
+    """The mode open(path, "w") gives a new file under the process umask."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return 0o666 & ~mask
+
+
+def _write_run(config: RunConfig, inline_flags, paths: list[Path], header: str) -> list[dict[str, LabelStats]]:
+    """Run ``config`` through the pipelines ``inline_flags``, streaming
+    pipeline k's CSV, after ``header``, to a temporary file beside
+    paths[k]; the temporary files replace the paths once all are
+    complete, and are removed if the run fails. Returns each pipeline's
+    summary."""
+    temps = []
     try:
-        with path.open("w") as f:
-            f.write(header)
-            f.writelines(series.csv_chunks())
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from None
+        try:
+            for path in paths:
+                fd, name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+                temps.append((Path(name), open(fd, "w")))
+                os.chmod(fd, _new_file_mode())  # not mkstemp's 0600
+            files = [f for _, f in temps]
+            for f in files:
+                f.write(header)
+            summaries = _stream_csv(config, inline_flags, files)
+            for f in files:
+                f.close()
+            for (name, _), path in zip(temps, paths):
+                os.replace(name, path)
+        except OSError as exc:
+            raise OSError(f"cannot write {', '.join(map(str, paths))}: {exc}") from None
+    finally:
+        for name, f in temps:
+            f.close()
+            name.unlink(missing_ok=True)
+    return summaries
 
 
 def run(inv: CliInvocation) -> int:
@@ -284,20 +308,16 @@ def run(inv: CliInvocation) -> int:
     try:
         _check_writable(out)  # before with_name, which raises on a path that names no file
         if inv.scenario == "drift":
-            pog_path = out.with_name(out.stem + "_pognac" + (out.suffix or ".csv"))
-            inl_path = out.with_name(out.stem + "_inline" + (out.suffix or ".csv"))
-            _check_writable(pog_path, inl_path)
-            paired: DriftComparisonResult = drift_comparison(config, config.encoder.drift)
-            _write(pog_path, header, paired.pognac.series)
-            _write(inl_path, header, paired.inline.series)
-            print(f"# loop encoder ({pog_path})")
-            print(render(paired.pognac), end="")
-            print(f"# inline reference ({inl_path})")
-            print(render(paired.inline), end="")
+            paths = [out.with_name(out.stem + f"_{name}" + (out.suffix or ".csv")) for name in ("pognac", "inline")]
+            _check_writable(*paths)
+            pognac, inline = _write_run(config, (False, True), paths, header)
+            print(f"# loop encoder ({paths[0]})")
+            print(render(pognac), end="")
+            print(f"# inline reference ({paths[1]})")
+            print(render(inline), end="")
         else:
-            result = run_experiment(config)
-            _write(out, header, result.series)
-            print(render(result), end="")
+            (summary,) = _write_run(config, (False,), [out], header)
+            print(render(summary), end="")
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

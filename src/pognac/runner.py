@@ -28,11 +28,19 @@ pulses by (window run, label, outcome), and a cell's none slot also gets
 the label's pulses in that run minus the live ones counted there. A
 block that is live as a whole skips the first count: it derives no none.
 sift_and_qber counts its records the same way, those with a click live.
-Peak memory is O(block), not O(run), beyond the per-window tally and starts.
 
-A QberSeries holds its counts as read-only int64 columns of shape
-[window, label]; its CSV is rendered from them _CSV_WINDOWS windows at a
-time (QberSeries.csv_chunks), which the CLI writes to the file one by one.
+Windows close in order: a block's first window can only continue the
+previous block's last one. So _simulate hands the windows out as they
+close (_Piece, one per pipeline), each time at least _SEED_BATCH of them
+are closed and once at the end, and a run holds the tally cells, pulse
+counts and window starts of at most _SEED_BATCH windows plus one block's
+windows (_Windows, _WindowStarts), whatever its number of windows.
+run_experiment and drift_comparison copy the pieces into the columns of a
+QberSeries: read-only int64 columns of shape [window, label]. The CLI
+writes each piece's CSV rows as it arrives (_stream_csv), through a
+temporary file, and keeps only running label totals. One renderer
+(_csv_rows) turns at most _SEED_BATCH windows at a time into CSV text, for
+QberSeries.csv_chunks and the CLI alike.
 
 Randomness is organized so results are bit-identical however the work is
 chunked: the label sequence comes from one seeded generator, each analysis
@@ -115,12 +123,10 @@ _BLOCK = 1 << 13
 _MAX_WINDOWS = 1 << 20
 _MAX_PULSES = 1 << 40
 
-# Windows whose stream seeds, or first pulses, are computed in one array pass.
+# Windows whose stream seeds, or first pulses, are computed in one array
+# pass; the fewest closed windows a run hands out at a time, and the most
+# rendered into one piece of CSV text.
 _SEED_BATCH = 1 << 10
-
-# Windows of one piece of CSV text (QberSeries.csv_chunks): a few MB of
-# rows, whatever the number of windows.
-_CSV_WINDOWS = 1 << 13
 
 # Slots of one (window, label) tally cell: the outcome codes in OUTCOMES
 # order, then a double click that the random policy's coin assigned to
@@ -232,49 +238,64 @@ class QberSeries:
 
     __hash__ = None  # the columns are arrays
 
-    def _columns(self, lo: int, hi: int, starts):
-        """The rows of windows lo..hi-1, in CSV order, as parallel lists:
-        window start (starts[w - lo]), label, n_correct, n_error,
-        n_discarded."""
-        return (
-            np.repeat(starts, len(self.labels)).tolist(),
-            self.labels * (hi - lo),
-            *(a[lo:hi].ravel().tolist() for a in (self.correct, self.error, self.discarded)),
-        )
-
     @property
     def rows(self) -> tuple[WindowRow, ...]:
         """One row per (window, sent label), in CSV order."""
-        n_windows = len(self.correct)
-        return tuple(map(WindowRow, *self._columns(0, n_windows, np.arange(n_windows) * self.window_s)))
+        starts = np.arange(len(self.correct)) * self.window_s
+        return tuple(map(WindowRow, *_row_columns(self.labels, starts, self.correct, self.error, self.discarded)))
 
     def label_stats(self) -> dict[str, LabelStats]:
-        totals = (a.sum(axis=0).tolist() for a in (self.correct, self.error, self.discarded))
-        out = {}
-        for label, nc, ne, nd in zip(self.labels, *totals):
-            n = nc + ne
-            q = _qber(nc, ne)
-            se = math.sqrt(q * (1.0 - q) / n) if n else math.nan
-            out[label] = LabelStats(label, nc, ne, nd, q, se)
-        return out
+        return _label_stats(self.labels, *(a.sum(axis=0).tolist() for a in (self.correct, self.error, self.discarded)))
 
     def csv_chunks(self):
-        """to_csv() in pieces of at most _CSV_WINDOWS windows, header first."""
-        yield "window_start_s,sent_label,n_correct,n_error,n_discarded,qber\n"
-        row = "{},{},{},{},{},{}\n".format
-        for lo in range(0, len(self.correct), _CSV_WINDOWS):
-            hi = min(lo + _CSV_WINDOWS, len(self.correct))
-            error = self.error[lo:hi]
-            n = self.correct[lo:hi] + error
-            # counts stay below 2**53 (_MAX_PULSES), so IEEE division gives Python's
-            # int quotient bit for bit; nan flags an empty cell, as _qber does
-            qber = np.divide(error, n, out=np.full(n.shape, math.nan), where=n > 0)
-            columns = self._columns(lo, hi, _reprs(np.arange(lo, hi) * self.window_s))
-            yield "".join(map(row, *columns, _reprs(qber.ravel()).tolist()))
+        """to_csv() in pieces of at most _SEED_BATCH windows, header first."""
+        yield _CSV_HEADER
+        yield from _csv_rows(self.labels, self.window_s, 0, self.correct, self.error, self.discarded)
 
     def to_csv(self) -> str:
         """Windowed series in the fixed output schema."""
         return "".join(self.csv_chunks())
+
+
+_CSV_HEADER = "window_start_s,sent_label,n_correct,n_error,n_discarded,qber\n"
+
+
+def _label_stats(labels, n_correct, n_error, n_discarded) -> dict[str, LabelStats]:
+    """The LabelStats of each label labels[i], from its totals n_correct[i],
+    n_error[i] and n_discarded[i] (Python ints)."""
+    out = {}
+    for label, nc, ne, nd in zip(labels, n_correct, n_error, n_discarded):
+        n = nc + ne
+        q = _qber(nc, ne)
+        se = math.sqrt(q * (1.0 - q) / n) if n else math.nan
+        out[label] = LabelStats(label, nc, ne, nd, q, se)
+    return out
+
+
+def _row_columns(labels, starts, correct, error, discarded):
+    """The rows of the windows whose counts are given, in CSV order, as
+    parallel lists: window start (starts[k] for the k-th window), label,
+    n_correct, n_error, n_discarded."""
+    return (
+        np.repeat(starts, len(labels)).tolist(),
+        labels * len(correct),
+        *(a.ravel().tolist() for a in (correct, error, discarded)),
+    )
+
+
+def _csv_rows(labels, window_s: float, lo: int, correct, error, discarded):
+    """The CSV rows of windows lo, lo + 1, ..., whose [window, label]
+    counts are given, as pieces of text of at most _SEED_BATCH windows."""
+    row = "{},{},{},{},{},{}\n".format
+    for a in range(0, len(correct), _SEED_BATCH):
+        b = min(a + _SEED_BATCH, len(correct))
+        n = correct[a:b] + error[a:b]
+        # counts stay below 2**53 (_MAX_PULSES), so IEEE division gives Python's
+        # int quotient bit for bit; nan flags an empty cell, as _qber does
+        qber = np.divide(error[a:b], n, out=np.full(n.shape, math.nan), where=n > 0)
+        starts = _reprs(np.arange(lo + a, lo + b) * window_s)
+        columns = _row_columns(labels, starts, correct[a:b], error[a:b], discarded[a:b])
+        yield "".join(map(row, *columns, _reprs(qber.ravel()).tolist()))
 
 
 def _reprs(values):
@@ -338,7 +359,35 @@ def _first_pulses(lo: int, hi: int, rate: float, window_s: float):
     return firsts
 
 
-def _block_windows(start: int, stop: int, rate: float, window_s: float, firsts):
+class _WindowStarts:
+    """The _first_pulses of a run's n_windows windows, computed at least
+    _SEED_BATCH windows at a time as blocks reach them, and kept only from
+    the first window a block asks for on; None for every block once a
+    bracket has missed."""
+
+    def __init__(self, rate: float, window_s: float, n_windows: int):
+        self.rate, self.window_s, self.n_windows = rate, window_s, n_windows
+        self.lo = 0
+        self.firsts = np.empty(0, dtype=np.int64)  # of windows lo, lo + 1, ...
+
+    def __call__(self, lo: int, hi: int):
+        """The first pulses of windows lo..hi-1, or None; lo is never below
+        that of an earlier call."""
+        if self.firsts is None:
+            return None
+        end = self.lo + len(self.firsts)
+        if hi > end:
+            kept = self.firsts[lo - self.lo :]
+            a = max(lo, end)
+            more = _first_pulses(a, min(max(hi, a + _SEED_BATCH), self.n_windows), self.rate, self.window_s)
+            if more is None:
+                self.firsts = None
+                return None
+            self.lo, self.firsts = lo, np.concatenate((kept, more))
+        return self.firsts[lo - self.lo : hi - self.lo]
+
+
+def _block_windows(start: int, stop: int, rate: float, window_s: float, starts):
     """Windows of pulses start..stop-1, as _windows(i / rate, window_s) gives
     them, in runs: (edges, ids), where pulses edges[k]..edges[k+1]-1 of the
     block fall in window ids[k]. Only windows that hold pulses have a run.
@@ -347,10 +396,10 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float, firsts):
     division and floor division are numpy's bit for bit; a value past the
     int64 range (or nan) takes numpy's path, with its warnings or errors.
     A block inside one window is one run. Otherwise the block's windows
-    begin where ``firsts``, the _first_pulses of the run's windows from
-    window 0, says; where that is None (a bracket missed, or the run has
-    as many windows as pulses), the block is evaluated pulse by pulse, so
-    memory stays O(block) whatever window_s * rate is.
+    begin where ``starts`` (a _WindowStarts of the run) says; where that
+    is None (a bracket missed, or the run has as many windows as pulses),
+    the block is evaluated pulse by pulse, so memory stays O(block)
+    whatever window_s * rate is.
     """
     n = stop - start
     lo, hi = (start / rate) // window_s, ((stop - 1) / rate) // window_s
@@ -360,9 +409,10 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float, firsts):
         lo, hi = _windows(np.array([start, stop - 1]) / rate, window_s).tolist()
     if lo == hi:
         return np.array([0, n]), np.array([lo])
+    firsts = None if starts is None else starts(lo + 1, hi + 1)
     if firsts is None:
         return _runs(_windows(np.arange(start, stop) / rate, window_s))
-    edges = np.concatenate(([start], firsts[lo + 1 : hi + 1], [stop])) - start
+    edges = np.concatenate(([start], firsts, [stop])) - start
     full = np.flatnonzero(np.diff(edges))
     return np.append(edges[full], n), lo + full
 
@@ -448,7 +498,11 @@ def _window_streams(seed: int, lo: int, hi: int):
     out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
     # little-endian uint32 pairs -> the uint64 words, contiguous per (role, window),
     # as PCG64's set-seed reads them
-    return np.stack([out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=-1)
+    words = np.stack([out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=-1)
+    # PCG64 reads four uint64 words from where each row begins, unchecked
+    if words.dtype != np.uint64 or words.shape[-1] != 4 or not words.flags.c_contiguous:
+        raise TypeError(f"seed words must be C-contiguous uint64 rows of 4, got {words.dtype} {words.shape}")
+    return words
 
 
 def _seed_feed():
@@ -461,6 +515,9 @@ def _seed_feed():
         words = None
 
         def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 reads the words through a raw pointer: None would be read as data
+            if self.words is None:
+                raise ValueError("no seed words were handed to the seed sequence")
             return self.words
 
     return Feed()
@@ -492,12 +549,51 @@ def _live_set(edges, ids, codes, live) -> _LiveSet:
     return _LiveSet(ids, sent.reshape(len(ids), len(LABEL_CODES)), base[live])
 
 
+class _Windows:
+    """Per-window counts of shape ``shape`` for the windows lo, lo + 1, ...
+    not handed out yet, in rows[w - lo]. Windows close in order, so rows
+    are added at the end as blocks reach later windows and handed out from
+    the front; the buffer holds at most the windows between two hand-outs,
+    and as many spare rows, up to _SEED_BATCH."""
+
+    def __init__(self, *shape: int):
+        self.lo = 0
+        self.top = 0  # windows lo..lo+top-1 may hold counts
+        self.rows = np.zeros((0, *shape), dtype=np.int64)
+
+    def _reach(self, n: int) -> None:
+        if n > len(self.rows):
+            rows = np.zeros((n + min(n, _SEED_BATCH), *self.rows.shape[1:]), dtype=np.int64)
+            rows[: self.top] = self.rows[: self.top]
+            self.rows = rows
+
+    def add(self, ids, counts) -> None:
+        """Add counts[k] to window ids[k]; ids ascend from lo or later."""
+        top = int(ids[-1]) + 1 - self.lo
+        self._reach(top)
+        self.rows[ids - self.lo] += counts
+        self.top = max(self.top, top)
+
+    def hand_out(self, hi: int):
+        """The counts of windows lo..hi-1, which are closed; the windows
+        from hi on move to the front."""
+        k = hi - self.lo
+        self._reach(k)
+        closed = self.rows[:k].copy()
+        rest = max(self.top - k, 0)
+        self.rows[:rest] = self.rows[k : k + rest]
+        self.rows[rest : k + rest] = 0
+        self.lo, self.top = hi, rest
+        return closed
+
+
 class _Tally:
     """Pulse counts of one pipeline per (window, label code, tally slot),
-    fed in pulse order so the random policy's coins are too."""
+    for the windows not handed out yet (windows), fed in pulse order so the
+    random policy's coins are too."""
 
-    def __init__(self, n_windows: int, double_click_policy: str, assignment_seed):
-        self.cells = np.zeros((n_windows, len(LABEL_CODES), _SLOTS), dtype=np.int64)
+    def __init__(self, double_click_policy: str, assignment_seed):
+        self.windows = _Windows(len(LABEL_CODES), _SLOTS)
         self.coin = None
         if double_click_policy == POLICY_RANDOM:
             self.coin = np.random.default_rng((assignment_seed, 0xD0))
@@ -517,17 +613,17 @@ class _Tally:
             dead = block.sent - counts.sum(axis=-1)
             assert dead.min() >= 0, "more live pulses than pulses sent in a (window, label) cell"
             counts[..., _NONE] += dead
-        self.cells[block.ids] += counts
+        self.windows.add(block.ids, counts)
 
-    def series(self, labels, window_s: float) -> QberSeries:
-        """The windowed series for the label codes ``labels`` (ascending)."""
-        outcomes = self.cells[..., : _NONE + 1].sum(axis=1)  # the slots in OUTCOMES order
-        outcomes[:, _DOUBLE] += self.cells[..., _COIN_0:].sum(axis=(1, 2))
-        columns = _sifted(self.cells, labels)
-        for a in (*columns, outcomes):
-            a.flags.writeable = False
-        names = tuple(LABEL_ORDER[k] for k in labels)
-        return QberSeries(names, window_s, *columns, outcomes)
+
+def _columns(cells, labels):
+    """(correct, error, discarded, outcome_counts) of the tally cells
+    [window, label code, slot], the first three for the label codes
+    ``labels`` (see _sifted); outcome_counts[w] holds window w's pulses
+    ending in each outcome of OUTCOMES, whatever their label."""
+    outcomes = cells[..., : _NONE + 1].sum(axis=1)  # the slots in OUTCOMES order
+    outcomes[:, _DOUBLE] += cells[..., _COIN_0:].sum(axis=(1, 2))
+    return (*_sifted(cells, labels), outcomes)
 
 
 def _sifted(cells, labels):
@@ -540,6 +636,18 @@ def _sifted(cells, labels):
     correct = cells[..., codes, _CLICK_0 + b] + cells[..., codes, _COIN_0 + b]
     error = cells[..., codes, _CLICK_1 - b] + cells[..., codes, _COIN_1 - b]
     return correct, error, cells[..., codes, _DOUBLE]
+
+
+def _series(labels, window_s: float, columns) -> QberSeries:
+    """The QberSeries of the label codes ``labels`` (ascending) from its
+    columns (correct, error, discarded, outcome_counts), made read-only."""
+    for a in columns:
+        a.flags.writeable = False
+    return QberSeries(_names(labels), window_s, *columns)
+
+
+def _names(labels) -> tuple[str, ...]:
+    return tuple(LABEL_ORDER[k] for k in labels)
 
 
 def sift_and_qber(
@@ -584,7 +692,7 @@ def sift_and_qber(
         index.append(idx)
         outcomes.append(OUTCOMES.index(rec.outcome))
 
-    tally = _Tally(n_windows, double_click_policy, assignment_seed)
+    tally = _Tally(double_click_policy, assignment_seed)
     if index:
         index = np.array(index)
         edges, ids = _runs(_windows(index / repetition_rate_hz, window_s))
@@ -592,7 +700,8 @@ def sift_and_qber(
         # a record with a click is live; the others are counted as none
         live = np.flatnonzero(outcomes != _NONE)
         tally.add(_live_set(edges, ids, codes[index], live), outcomes[live])
-    return tally.series(np.unique(codes).tolist(), window_s)
+    labels = np.unique(codes).tolist()
+    return _series(labels, window_s, _columns(tally.windows.hand_out(n_windows), labels))
 
 
 @contextmanager
@@ -606,9 +715,40 @@ def _out_of_range_is_a_config_error():
         raise ConfigurationError(f"the configuration takes the simulation out of floating-point range: {exc}") from None
 
 
-def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
+class _Piece(NamedTuple):
+    """Windows lo, lo + 1, ... of one pipeline's run, as the columns of a
+    QberSeries hold them."""
+
+    lo: int
+    correct: np.ndarray
+    error: np.ndarray
+    discarded: np.ndarray
+    outcome_counts: np.ndarray
+
+
+def _sent_labels(config: RunConfig) -> list[int]:
+    """The label codes sent anywhere in the run, ascending. The label
+    sequence is read again, block by block from a fresh generator, until
+    every code its mode can send has appeared: pulses 0 and 1 for D/A,
+    normally the first block for HVD, and the whole of a run too short to
+    send them all."""
+    sendable = len(_DA_CODES) if config.sequence_mode == SEQUENCE_DA else 3  # HVD: codes 0..2
+    seen = np.zeros(len(LABEL_CODES), dtype=bool)
+    # short blocks: the first one all but always holds every code
+    for codes in _label_blocks(config.sequence_mode, config.n_pulses(), config.sequence_seed, 256):
+        seen[codes] = True
+        if seen.sum() == sendable:
+            break
+    return np.flatnonzero(seen).tolist()
+
+
+def _simulate(config: RunConfig, inline_flags, labels):
     """Stream one run through the kernel for each pipeline in
-    ``inline_flags`` (False: loop encoder, True: inline modulator).
+    ``inline_flags`` (False: loop encoder, True: inline modulator), and
+    hand its windows out as they close: each time at least _SEED_BATCH
+    windows are closed, and once at the end, yield one _Piece per
+    pipeline, with the columns of the label codes ``labels``
+    (_sent_labels). The pieces cover windows 0, 1, ... in order.
 
     The pipelines share the label codes and every random draw, exactly as
     separate runs with the same seeds would draw them. Window w draws from
@@ -618,24 +758,29 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
     rate, window_s, det, enc = config.repetition_rate_hz, config.window_s, config.detector, config.encoder
     n = config.n_pulses()
     n_windows = _window_count(n, rate, window_s, "duration_s / window_s")
-    tallies = [_Tally(n_windows, det.double_click_policy, config.detection_seed) for _ in inline_flags]
+    tallies = [_Tally(det.double_click_policy, config.detection_seed) for _ in inline_flags]
+    pulses = _Windows()
     mu = label_table(enc).mu
     bound = click_bound(mu, det)
     all_live = bound >= _ALL_LIVE
     drifts = enc.drift.kind != DRIFT_NONE
-    pulses = np.zeros(n_windows, dtype=np.int64)
     feed = _seed_feed()
     Generator, PCG64 = np.random.Generator, np.random.PCG64
+    # a run with as many windows as pulses evaluates each pulse's window instead
+    starts = _WindowStarts(rate, window_s, n_windows) if n_windows < n else None
+    # blocks of a partly live run are twice as long (see _BLOCK); a block of
+    # windows shorter than _BLOCK / _SEED_BATCH pulses is cut to span about
+    # _SEED_BATCH windows, so its per-window arrays stay that small
+    size = _BLOCK if all_live else 2 * _BLOCK
+    span = _SEED_BATCH * window_s * rate
+    if span < size:
+        size = max(int(span), 1)
     open_window = batch_hi = -1
     start = 0
-    with _out_of_range_is_a_config_error():
-        # a run with as many windows as pulses evaluates each pulse's window instead
-        firsts = _first_pulses(0, n_windows, rate, window_s) if n_windows < n else None
-        # blocks of a partly live run are twice as long (see _BLOCK)
-        for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed, _BLOCK if all_live else 2 * _BLOCK):
-            stop = start + len(codes)
-            edges, ids = _block_windows(start, stop, rate, window_s, firsts)
-            pulses[ids] += np.diff(edges)
+    for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed, size):
+        stop = start + len(codes)
+        with _out_of_range_is_a_config_error():
+            edges, ids = _block_windows(start, stop, rate, window_s, starts)
             normals = np.empty(len(codes))
             uniforms = np.empty(len(codes))
             for a, b, w in zip(edges.tolist(), edges[1:].tolist(), ids.tolist()):
@@ -667,34 +812,79 @@ def _simulate(config: RunConfig, inline_flags) -> list[RunResult]:
             if drifts:
                 t = (np.arange(start, stop) if isinstance(on, slice) else on + start) / rate
             args = codes[on], t, normals[on]
-            start = stop
             u_live = uniforms[live]
             for inline, tally in zip(inline_flags, tallies):
                 x = phase_difference(*args, enc, inline)[pick]
                 # q0, q1 kept bound until the next block: freed earlier, glibc trims the heap and faults it in again
                 q0, q1 = branch_probabilities(x, det.basis)
                 tally.add(block, sample_outcomes(joint_probabilities(q0, q1, mu, det), u_live))
+        pulses.add(ids, np.diff(edges))
+        start = stop
+        # the next block begins in this block's last window or a later one
+        closed = n_windows if stop == n else int(ids[-1])
+        if closed - pulses.lo >= _SEED_BATCH or stop == n:
+            yield _pieces(closed, pulses, tallies, labels)
 
-    # every pulse lands in some slot, so a label was sent iff it has counts
-    labels = np.flatnonzero(tallies[0].cells.sum(axis=(0, 2))).tolist()
-    results = []
+
+def _pieces(hi: int, pulses: _Windows, tallies, labels) -> tuple[_Piece, ...]:
+    """Each tally's closed windows pulses.lo..hi-1 as a _Piece, checked
+    against the pulses sent in them."""
+    lo = pulses.lo
+    sent = pulses.hand_out(hi)
+    pieces = []
     for tally in tallies:
-        assert np.array_equal(tally.cells.sum(axis=(1, 2)), pulses), "outcomes per window != pulses sent"
-        series = tally.series(labels, window_s)
-        summary = series.label_stats()
-        totals = np.stack(_sifted(tally.cells.sum(axis=0), labels), axis=-1).tolist()
-        assert {label: [s.n_correct, s.n_error, s.n_discarded] for label, s in summary.items()} == {
-            LABEL_ORDER[k]: t for k, t in zip(labels, totals)
-        }, "label_stats() != the totals of the tally cells"
-        results.append(RunResult(series, summary))
+        cells = tally.windows.hand_out(hi)
+        assert np.array_equal(cells.sum(axis=(1, 2)), sent), "outcomes per window != pulses sent"
+        piece = _Piece(lo, *_columns(cells, labels))
+        totals = _sifted(cells.sum(axis=0), labels)
+        assert all(
+            np.array_equal(a.sum(axis=0), t) for a, t in zip(piece[1:4], totals)
+        ), "label totals != the sums of the piece's rows"
+        pieces.append(piece)
+    return tuple(pieces)
+
+
+def _collect(config: RunConfig, inline_flags) -> list[RunResult]:
+    """The RunResult of each pipeline of _simulate, its pieces copied into
+    columns allocated once for the whole run."""
+    labels = _sent_labels(config)
+    n_windows = _window_count(config.n_pulses(), config.repetition_rate_hz, config.window_s, "duration_s / window_s")
+    columns = [
+        [np.empty((n_windows, width), dtype=np.int64) for width in (len(labels),) * 3 + (len(OUTCOMES),)]
+        for _ in inline_flags
+    ]
+    for pieces in _simulate(config, inline_flags, labels):
+        for piece, pipeline in zip(pieces, columns):
+            for column, part in zip(pipeline, piece[1:]):
+                column[piece.lo : piece.lo + len(part)] = part
+    results = []
+    for pipeline in columns:
+        series = _series(labels, config.window_s, pipeline)
+        results.append(RunResult(series, series.label_stats()))
     return results
+
+
+def _stream_csv(config: RunConfig, inline_flags, files) -> list[dict[str, LabelStats]]:
+    """Run ``config`` as _simulate does and write each pipeline's CSV, the
+    column header first, to files[k] (open text files) as its windows
+    close; return each pipeline's label_stats(), from running totals."""
+    labels = _sent_labels(config)
+    names = _names(labels)
+    totals = np.zeros((len(files), 3, len(labels)), dtype=np.int64)
+    for f in files:
+        f.write(_CSV_HEADER)
+    for pieces in _simulate(config, inline_flags, labels):
+        for f, piece, total in zip(files, pieces, totals):
+            f.writelines(_csv_rows(names, config.window_s, *piece[:4]))
+            total += [a.sum(axis=0) for a in piece[1:4]]
+    return [_label_stats(names, *total.tolist()) for total in totals]
 
 
 def run_experiment(config: RunConfig) -> RunResult:
     """Deterministic end-to-end pipeline, streamed in blocks: label codes ->
     phase_difference -> branch_probabilities -> joint_probabilities ->
     sample_outcomes -> windowed tally."""
-    (result,) = _simulate(config, (False,))
+    (result,) = _collect(config, (False,))
     return result
 
 
@@ -705,4 +895,4 @@ def drift_comparison(config: RunConfig, drift: DriftProfile) -> DriftComparisonR
     With zero drift the two pipelines produce identical records.
     """
     cfg = replace(config, encoder=replace(config.encoder, drift=drift))
-    return DriftComparisonResult(*_simulate(cfg, (False, True)))
+    return DriftComparisonResult(*_collect(cfg, (False, True)))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pognac
-from pognac import cli
+from pognac import cli, runner
 from pognac.cli import (
     _KEY_TABLE,
     CliInvocation,
@@ -245,6 +246,85 @@ def test_run_rejects_runs_above_the_caps(tmp_path, capsys, text, message):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_a_failure_late_in_the_run_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # one pulse per window; the drift's phase overflows about 0.29 s in
+    cfg_path = tmp_path / "late.cfg"
+    cfg_path.write_text(
+        "repetition_rate_hz = 1e4\nduration_s = 1.0\nwindow_s = 1e-4\n"
+        "drift_kind = sinusoidal\ndrift_amplitude_rad = 1.0\ndrift_period_s = 1e-308\n"
+    )
+    out_path = tmp_path / "o.csv"
+    out_path.write_bytes(b"an earlier run\n")
+    handed_out = []
+
+    def hand_out(hi, *args, formula=runner._pieces):
+        handed_out.append(hi)
+        return formula(hi, *args)
+
+    monkeypatch.setattr(runner, "_pieces", hand_out)
+    status = run(CliInvocation(scenario="custom", config_path=str(cfg_path), output_path=str(out_path)))
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "the configuration takes the simulation out of floating-point range: overflow encountered in divide" in err
+    # windows were handed out, and written, before the overflow
+    assert handed_out
+    # neither a CSV nor a temporary file; the file already there keeps its bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["late.cfg", "o.csv"]
+    assert out_path.read_bytes() == b"an earlier run\n"
+
+
+@pytest.mark.parametrize("scenario, refused", [("fig2", 0), ("drift", 0), ("drift", 1)])
+def test_output_directory_refusing_the_temporary_file_exits_3_before_the_run(
+    tmp_path, monkeypatch, capsys, scenario, refused
+):
+    monkeypatch.chdir(tmp_path)
+    made = []
+
+    def mkstemp(*args, formula=tempfile.mkstemp, **kwargs):
+        if len(made) == refused:
+            raise PermissionError(13, "Permission denied")
+        fd, name = formula(*args, **kwargs)
+        made.append(name)
+        return fd, name
+
+    def simulate(*args):
+        raise AssertionError("the run started before every temporary file was made")
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(cli, "_stream_csv", simulate)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--scenario", scenario, "--out", "run.csv"])
+    assert exit_info.value.code == 3
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    # a temporary file made before the refusal is gone too
+    assert len(made) == refused and list(tmp_path.iterdir()) == []
+
+
+def _memory_peak(tmp_path, n_windows):
+    """tracemalloc's peak, in bytes, over a CLI run of ``n_windows``
+    windows of 16 pulses (exact binary window bounds)."""
+    cfg_path = tmp_path / f"{n_windows}.cfg"
+    rate = 2**20
+    cfg_path.write_text(f"repetition_rate_hz = {rate}\nwindow_s = {16 / rate!r}\nduration_s = {16 * n_windows / rate!r}\n")
+    inv = CliInvocation(scenario="custom", config_path=str(cfg_path), output_path=str(tmp_path / "o.csv"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert run(inv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_cli_memory_does_not_grow_with_the_number_of_windows(tmp_path):
+    # a run holds at most _SEED_BATCH windows plus one block's windows; with
+    # the whole run's tally it grew about 720 B per window
+    _memory_peak(tmp_path, 2**10)  # first-run caches and imports, untraced in effect
+    peaks = [_memory_peak(tmp_path, n) for n in (2**11, 2**12, 2**13)]
+    growth = [(b - a) / n for a, b, n in zip(peaks, peaks[1:], (2**11, 2**12))]
+    assert max(growth) < 40, (peaks, growth)
+
+
 # Run-size values: each run is at most a few hundred pulses and windows, or
 # is over a cap, whatever the combination.
 _RUN_SIZE_VALUES = {
@@ -464,7 +544,8 @@ def test_unwritable_output_exits_3_before_the_run(tmp_path, monkeypatch, capsys,
     def simulate(*args):
         raise AssertionError(f"{simulation} ran before the output path was checked")
 
-    monkeypatch.setattr(cli, simulation, simulate)
+    # the CLI runs either pipeline set through the one streaming kernel
+    monkeypatch.setattr(cli, "_stream_csv", simulate)
     with pytest.raises(SystemExit) as exit_info:
         main(["--scenario", scenario, "--out", out])
     assert exit_info.value.code == 3

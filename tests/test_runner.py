@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pognac import runner
+from pognac import cli, runner
 from pognac.encoder import (
     DRIFT_LINEAR,
     DRIFT_NONE,
@@ -252,6 +252,12 @@ def test_labels_follow_sequence_mode():
     da = run_experiment(quiet_config(sequence_mode=SEQUENCE_DA, detector=DetectorParams(basis=BASIS_DA)))
     assert da.series.labels == ("D", "A")
     assert set(da.series.labels) <= set(LABEL_ORDER)
+    # runs too short to send every label carry only the labels they sent
+    for n in (1, 2, 3, 4, 6):
+        for mode in (SEQUENCE_HVD, SEQUENCE_DA):
+            config = quiet_config(sequence_mode=mode, duration_s=n / 1e4, window_s=1e-4)
+            sent = sorted(set(generate_sequence(mode, n, config.sequence_seed)), key=LABEL_CODES.index)
+            assert run_experiment(config).series.labels == tuple(POST_PC_LABEL[label] for label in sent)
 
 
 def test_drift_comparison_without_drift_is_identical():
@@ -375,16 +381,18 @@ def test_outcome_and_summary_invariants():
 
 
 def block_size_configs(policy):
-    """Two all-live runs (click bound above one half, blocks of _BLOCK
-    pulses), HVD and D/A alternating into a DA analyzer, and a partly live
-    drift comparison (bound below one half, blocks of 2 * _BLOCK spanning up
-    to hundreds of windows of 50 pulses), with the double-click policy
-    ``policy``."""
+    """Three all-live runs (click bound above one half, blocks of _BLOCK
+    pulses): HVD, D/A alternating into a DA analyzer, and HVD with windows
+    of a third of a pulse period, most of them without pulses; and a
+    partly live drift comparison (bound below one half, blocks of 2 *
+    _BLOCK spanning up to hundreds of windows of 50 pulses), with the
+    double-click policy ``policy``."""
     every = random_policy_config(duration_s=0.05, window_s=0.002, detector=DetectorParams(double_click_policy=policy))
     da = replace(every, sequence_mode=SEQUENCE_DA, detector=replace(every.detector, basis=BASIS_DA))
+    sparse = replace(every, repetition_rate_hz=1e3, window_s=3e-4)
     drift = fast_drift_config()
     drift = replace(drift, window_s=0.05, detector=replace(drift.detector, double_click_policy=policy))
-    return (every, da), drift
+    return (every, da, sparse), drift
 
 
 @functools.cache
@@ -395,8 +403,32 @@ def block_size_references(policy):
     ]
 
 
+def assert_streams_as(config, inline_flags, expected, tmp_path):
+    """_simulate's pieces cover windows 0, 1, ... in order, each but the
+    last at least _SEED_BATCH of them, and join into the ``expected``
+    series of each pipeline; the CLI writes each pipeline's CSV as its
+    header and then expected.to_csv(), and leaves no other file."""
+    labels = runner._sent_labels(config)
+    groups = list(runner._simulate(config, inline_flags, labels))
+    for k, series in enumerate(expected):
+        pieces = [group[k] for group in groups]
+        sizes = [len(p.correct) for p in pieces]
+        assert [p.lo for p in pieces] == np.cumsum([0, *sizes[:-1]]).tolist()
+        assert min(sizes[:-1], default=runner._SEED_BATCH) >= runner._SEED_BATCH
+        names = ("correct", "error", "discarded", "outcome_counts")
+        joined = [np.concatenate([getattr(p, name) for p in pieces]) for name in names]
+        assert runner._series(labels, config.window_s, joined) == series
+    out = tmp_path / f"streamed_{len(list(tmp_path.iterdir()))}"
+    out.mkdir()
+    paths = [out / f"pipeline_{k}.csv" for k in range(len(inline_flags))]
+    cli._write_run(config, inline_flags, paths, "# provenance\n")
+    assert [p.read_text() for p in paths] == ["# provenance\n" + series.to_csv() for series in expected]
+    assert sorted(out.iterdir()) == paths
+    return len(groups)
+
+
 @pytest.mark.parametrize("block", [7, 1000, runner._BLOCK])
-def test_block_size_does_not_change_results(monkeypatch, block):
+def test_block_size_does_not_change_results(monkeypatch, tmp_path, block):
     monkeypatch.setattr(runner, "_BLOCK", block)
     for policy in ("discard", "random"):
         live, drift = block_size_configs(policy)
@@ -406,6 +438,13 @@ def test_block_size_does_not_change_results(monkeypatch, block):
         expected_live, expected_drift = block_size_references(policy)
         assert [run_experiment(c).series for c in live] == expected_live
         assert [r.series for r in drift_comparison(drift, drift.encoder.drift)] == expected_drift
+        # windows handed out a few at a time: a hand-out falls inside a block
+        # wherever the block spans windows, and between windows without pulses
+        for batch in (3, 7):
+            with mock.patch.object(runner, "_SEED_BATCH", batch):
+                for c, expected in zip(live, expected_live):
+                    assert assert_streams_as(c, (False,), [expected], tmp_path) > 1
+                assert assert_streams_as(drift, (False, True), expected_drift, tmp_path) > 1
 
 
 def live_tally_reference(n_windows, edges, ids, codes, live, outcomes, policy, seed):
@@ -437,26 +476,27 @@ def test_live_tally_counts_every_other_pulse_as_none(policy):
     live = live[(live < edges[7]) | (live >= edges[8])]
     # a live pulse may still end in none
     outcomes = rng.integers(0, 4, size=len(live)).astype(np.uint8)
-    tally = runner._Tally(400, policy, 9)
+    tally = runner._Tally(policy, 9)
     block = runner._live_set(edges, ids, codes, live)
     assert len(block.base) == len(live) and block.sent.shape == (150, len(LABEL_CODES))
     tally.add(block, outcomes)
+    cells = tally.windows.hand_out(400)
     expected = live_tally_reference(400, edges, ids, codes, live, outcomes, policy, 9)
-    np.testing.assert_array_equal(tally.cells, expected)
+    np.testing.assert_array_equal(cells, expected)
     # a none slot is the label's pulses in the window minus its live pulses
     # that did not end in none
     sent = np.zeros((400, len(LABEL_CODES)), dtype=np.int64)
     np.add.at(sent, (np.repeat(ids, np.diff(edges)), codes), 1)
-    clicked = tally.cells.sum(axis=-1) - tally.cells[..., runner._NONE]
-    np.testing.assert_array_equal(tally.cells[..., runner._NONE], sent - clicked)
-    assert tally.cells[ids[7], :, runner._NONE].sum() == edges[8] - edges[7]
+    clicked = cells.sum(axis=-1) - cells[..., runner._NONE]
+    np.testing.assert_array_equal(cells[..., runner._NONE], sent - clicked)
+    assert cells[ids[7], :, runner._NONE].sum() == edges[8] - edges[7]
     # the same block with every pulse live, its outcome codes none but for
     # the live ones, gives the same cells
-    every = runner._Tally(400, policy, 9)
+    every = runner._Tally(policy, 9)
     full = np.full(n, runner._NONE, dtype=np.uint8)
     full[live] = outcomes
     every.add(runner._live_set(edges, ids, codes, slice(None)), full)
-    np.testing.assert_array_equal(every.cells, expected)
+    np.testing.assert_array_equal(every.windows.hand_out(400), expected)
 
 
 def test_sift_and_qber_counts_records_through_the_live_tally():
@@ -778,6 +818,31 @@ def test_window_streams_equal_default_rng(seed):
             np.testing.assert_array_equal(rng.random(5), oracle.random(5))
 
 
+def test_seed_feed_without_words_raises():
+    # PCG64 reads the words through a raw pointer, where None once crashed
+    # the interpreter: a subprocess keeps a regression to this test
+    env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))
+    code = (
+        "import numpy as np\nfrom pognac import runner\n"
+        "try:\n    np.random.PCG64(runner._seed_feed())\nexcept ValueError as exc:\n    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout.strip() == "no seed words were handed to the seed sequence"
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda w: w.astype(np.uint32), lambda w: w[..., :3], np.asfortranarray],
+    ids=["uint32", "three-words", "not-c-contiguous"],
+)
+def test_window_streams_reject_words_pcg64_would_misread(spoil):
+    stack = np.stack
+    with mock.patch.object(np, "stack", lambda *args, **kw: spoil(stack(*args, **kw))):
+        with pytest.raises(TypeError, match="seed words must be C-contiguous uint64 rows of 4"):
+            runner._window_streams(1, 0, 8)
+
+
 # Runs a fig2 run of 2.4 M pulses twice in a fresh interpreter, whose
 # glibc mmap threshold has not been raised by a large free, and prints the
 # second run's minor page faults per block.
@@ -879,21 +944,23 @@ def test_block_windows_match_the_per_pulse_formula(case):
         np.testing.assert_array_equal(firsts, start + np.searchsorted(expected, np.arange(lo + 1, hi + 1)))
         assert sum(sizes) == 5 * (hi - lo) and max(sizes, default=0) <= 5 * runner._SEED_BATCH
     # a block's two ends are evaluated on Python floats; a block that spans
-    # windows slices its runs from the first pulses of the run's windows,
-    # where they are given from window 0 (here while they are few), and
-    # otherwise evaluates the formula pulse by pulse
-    run_firsts = [None]
-    if hi < 1 << 16:
-        run_firsts.append(runner._first_pulses(0, hi + 1, rate, window_s))
-    for firsts in run_firsts:
+    # windows slices its runs from the run's window starts, computed from
+    # the block's second window on, and evaluates the formula pulse by
+    # pulse without them or where a bracket missed
+    for starts in (None, runner._WindowStarts(rate, window_s, hi + 1) if hi - lo < stop - start else None):
         sizes.clear()
         with mock.patch.object(runner, "_windows", windows):
-            edges, ids = runner._block_windows(start, stop, rate, window_s, firsts)
+            edges, ids = runner._block_windows(start, stop, rate, window_s, starts)
         np.testing.assert_array_equal(np.repeat(ids, np.diff(edges)), expected)
         run_starts = np.flatnonzero(np.diff(expected)) + 1
         np.testing.assert_array_equal(edges, np.concatenate(([0], run_starts, [stop - start])))
         np.testing.assert_array_equal(ids, expected[edges[:-1]])
-        assert sizes == ([] if lo == hi or firsts is not None else [stop - start])
+        if lo == hi:
+            assert sizes == []
+        elif starts is None or starts.firsts is None:
+            assert sizes[-1] == stop - start
+        else:
+            assert sum(sizes) == 5 * (hi - lo)
 
 
 def rendered_row_by_row(rows):
@@ -981,12 +1048,12 @@ def test_csv_chunks_join_to_the_row_by_row_render():
     config = quiet_config(repetition_rate_hz=1e5, duration_s=0.04, window_s=4e-6)
     series = run_experiment(config).series
     n_windows = len(series.correct)
-    assert n_windows > runner._CSV_WINDOWS
+    assert n_windows > runner._SEED_BATCH
     assert (series.outcome_counts.sum(axis=1) == 0).any()
     rows = series.rows
     assert any(math.isnan(r.qber) for r in rows)
     chunks = list(series.csv_chunks())
-    assert len(chunks) == 1 + math.ceil(n_windows / runner._CSV_WINDOWS)
+    assert len(chunks) == 1 + math.ceil(n_windows / runner._SEED_BATCH)
     assert "".join(chunks) == series.to_csv() == rendered_row_by_row(rows)
-    with mock.patch.object(runner, "_CSV_WINDOWS", 7):
+    with mock.patch.object(runner, "_SEED_BATCH", 7):
         assert "".join(series.csv_chunks()) == series.to_csv()

@@ -272,21 +272,20 @@ def _write_run(config: RunConfig, inline_flags, paths: list[Path], header: str) 
     summary."""
     temps = []
     try:
-        try:
-            for path in paths:
-                fd, name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-                temps.append((Path(name), open(fd, "w")))
-                os.chmod(fd, _new_file_mode())  # not mkstemp's 0600
-            files = [f for _, f in temps]
-            for f in files:
-                f.write(header)
-            summaries = _stream_csv(config, inline_flags, files)
-            for f in files:
-                f.close()
-            for (name, _), path in zip(temps, paths):
-                os.replace(name, path)
-        except OSError as exc:
-            raise OSError(f"cannot write {', '.join(map(str, paths))}: {exc}") from None
+        for path in paths:
+            fd, name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+            temps.append((Path(name), open(fd, "w")))
+            os.chmod(fd, _new_file_mode())  # not mkstemp's 0600
+        files = [f for _, f in temps]
+        for f in files:
+            f.write(header)
+        summaries = _stream_csv(config, inline_flags, files)
+        for f in files:
+            f.close()
+        for (name, _), path in zip(temps, paths):
+            os.replace(name, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {', '.join(map(str, paths))}: {exc}") from None
     finally:
         for name, f in temps:
             f.close()

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
-import tempfile
 from dataclasses import dataclass, fields, is_dataclass, replace
 from decimal import Context, Decimal, InvalidOperation
 from functools import reduce
@@ -248,48 +248,54 @@ def summary_csv(summary: dict[str, LabelStats]) -> str:
 
 
 def _check_writable(*paths: Path) -> None:
-    """Fail before the run on an output path that is a directory or sits in
-    a missing one, creating and truncating no file."""
+    """Fail before the run on an output path that is a directory, sits in
+    a missing one or is a file this process may not write, creating and
+    truncating no file."""
     for path in paths:
         if path.is_dir():
             raise OSError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise OSError(f"cannot write {path}: no directory {path.parent}")
-
-
-def _new_file_mode() -> int:
-    """The mode open(path, "w") gives a new file under the process umask."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return 0o666 & ~mask
+        if path.exists() and not os.access(path, os.W_OK):
+            raise OSError(f"cannot write {path}: permission denied")
 
 
 def _write_run(config: RunConfig, inline_flags, paths: list[Path], header: str) -> list[dict[str, LabelStats]]:
     """Run ``config`` through the pipelines ``inline_flags``, streaming
     pipeline k's CSV, after ``header``, to a temporary file beside
-    paths[k]; the temporary files replace the paths once all are
-    complete, and are removed if the run fails. Returns each pipeline's
-    summary."""
-    temps = []
+    paths[k] (beside the file it links to, for a symlink); the temporary
+    files replace those files once all are complete, taking the mode of a
+    file already there, and are removed if the run fails. A path that
+    names a device or a pipe, which nothing can be put in place of, is
+    written straight. Returns each pipeline's summary."""
+    temps = []  # (file to replace or None, its temporary file, open file)
     try:
         for path in paths:
-            fd, name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-            temps.append((Path(name), open(fd, "w")))
-            os.chmod(fd, _new_file_mode())  # not mkstemp's 0600
-        files = [f for _, f in temps]
+            if path.exists() and not path.is_file():
+                temps.append((None, None, open(path, "w")))
+                continue
+            target = Path(os.path.realpath(path))
+            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            temps.append((target, temp, open(temp, "x")))
+        files = [f for *_, f in temps]
         for f in files:
             f.write(header)
         summaries = _stream_csv(config, inline_flags, files)
         for f in files:
             f.close()
-        for (name, _), path in zip(temps, paths):
-            os.replace(name, path)
+        for target, temp, _ in temps:
+            if target is None:
+                continue
+            if target.exists():
+                shutil.copymode(target, temp)
+            os.replace(temp, target)
     except OSError as exc:
         raise OSError(f"cannot write {', '.join(map(str, paths))}: {exc}") from None
     finally:
-        for name, f in temps:
+        for _, temp, f in temps:
             f.close()
-            name.unlink(missing_ok=True)
+            if temp is not None:
+                temp.unlink(missing_ok=True)
     return summaries
 
 

@@ -116,6 +116,13 @@ _DA_CODES = np.array([label_code("D"), label_code("A")], dtype=np.int8)
 # slower at twice it.
 _BLOCK = 1 << 13
 
+# The most windows one block spans: a block of shorter windows is cut to
+# span about this many, since it holds about 1 KiB of tally and live-set
+# counts per window it spans, about 4 MiB here. A cut to _SEED_BATCH
+# windows read about 4 % fewer pulses/s at one and two pulses per window;
+# this one read no loss.
+_BLOCK_WINDOWS = 1 << 12
+
 # Caps on one run, checked by RunConfig before anything is allocated: the
 # tally holds 24 int64 per window and pipeline, and the kernel runs at a
 # few million pulses per second. _MAX_WINDOWS < 2**32 also keeps every
@@ -768,11 +775,10 @@ def _simulate(config: RunConfig, inline_flags, labels):
     Generator, PCG64 = np.random.Generator, np.random.PCG64
     # a run with as many windows as pulses evaluates each pulse's window instead
     starts = _WindowStarts(rate, window_s, n_windows) if n_windows < n else None
-    # blocks of a partly live run are twice as long (see _BLOCK); a block of
-    # windows shorter than _BLOCK / _SEED_BATCH pulses is cut to span about
-    # _SEED_BATCH windows, so its per-window arrays stay that small
+    # blocks of a partly live run are twice as long (see _BLOCK), and span
+    # at most about _BLOCK_WINDOWS windows
     size = _BLOCK if all_live else 2 * _BLOCK
-    span = _SEED_BATCH * window_s * rate
+    span = _BLOCK_WINDOWS * window_s * rate
     if span < size:
         size = max(int(span), 1)
     open_window = batch_hi = -1

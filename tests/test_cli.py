@@ -1,9 +1,11 @@
 import contextlib
 import io
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import fields, is_dataclass
 from decimal import Decimal
@@ -262,6 +264,9 @@ def test_a_failure_late_in_the_run_leaves_no_file(tmp_path, monkeypatch, capsys)
         return formula(hi, *args)
 
     monkeypatch.setattr(runner, "_pieces", hand_out)
+    # blocks of _SEED_BATCH one-pulse windows, so pieces close before the
+    # overflow, which a block of _BLOCK_WINDOWS windows would hold
+    monkeypatch.setattr(runner, "_BLOCK_WINDOWS", runner._SEED_BATCH)
     status = run(CliInvocation(scenario="custom", config_path=str(cfg_path), output_path=str(out_path)))
     assert status == 2
     err = capsys.readouterr().err
@@ -280,17 +285,17 @@ def test_output_directory_refusing_the_temporary_file_exits_3_before_the_run(
     monkeypatch.chdir(tmp_path)
     made = []
 
-    def mkstemp(*args, formula=tempfile.mkstemp, **kwargs):
-        if len(made) == refused:
-            raise PermissionError(13, "Permission denied")
-        fd, name = formula(*args, **kwargs)
-        made.append(name)
-        return fd, name
+    def exclusive_open(name, mode="r", *args, **kwargs):
+        if mode == "x":
+            if len(made) == refused:
+                raise PermissionError(13, "Permission denied")
+            made.append(name)
+        return open(name, mode, *args, **kwargs)
 
     def simulate(*args):
         raise AssertionError("the run started before every temporary file was made")
 
-    monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(cli, "open", exclusive_open, raising=False)
     monkeypatch.setattr(cli, "_stream_csv", simulate)
     with pytest.raises(SystemExit) as exit_info:
         main(["--scenario", scenario, "--out", "run.csv"])
@@ -298,6 +303,54 @@ def test_output_directory_refusing_the_temporary_file_exits_3_before_the_run(
     assert capsys.readouterr().err.startswith("error: cannot write ")
     # a temporary file made before the refusal is gone too
     assert len(made) == refused and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o444], ids=oct)
+def test_a_file_already_at_the_output_path_keeps_its_mode(tmp_path, capsys, mode):
+    out_path = tmp_path / "o.csv"
+    out_path.write_bytes(b"an earlier run\n")
+    out_path.chmod(mode)
+    writable = os.access(out_path, os.W_OK)  # a read-only file is writable to root
+    status = run(CliInvocation(scenario="fig2", output_path=str(out_path)))
+    assert stat.S_IMODE(out_path.stat().st_mode) == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv"]
+    if writable:
+        assert status == 0 and out_path.read_text().startswith("# scenario = fig2\n")
+    else:
+        # refused before the run, as open(path, "w") refuses it
+        assert status == 3 and "permission denied" in capsys.readouterr().err
+        assert out_path.read_bytes() == b"an earlier run\n"
+
+
+def test_a_symlinked_output_path_writes_the_file_it_links_to(tmp_path):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "qber.csv"
+    target.write_bytes(b"an earlier run\n")
+    link = tmp_path / "o.csv"
+    link.symlink_to(target)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(CliInvocation(scenario="fig2", output_path=str(link))) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().startswith("# scenario = fig2\n")
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["qber.csv"]
+
+
+def test_an_output_pipe_is_written_straight(tmp_path):
+    # a device or a pipe (say /dev/null) takes the rows itself: nothing is
+    # put in its place
+    fifo = tmp_path / "o.csv"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = run(CliInvocation(scenario="fig2", output_path=str(fifo)))
+    if reader.is_alive() and stat.S_ISFIFO(fifo.stat().st_mode):
+        open(fifo, "w").close()  # a writer, so a reader the run never met returns
+    reader.join(timeout=10)
+    assert status == 0 and read and read[0].startswith("# scenario = fig2\n")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
 
 
 def _memory_peak(tmp_path, n_windows):

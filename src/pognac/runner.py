@@ -7,9 +7,10 @@ the only thing of a pulse that reaches the analyzer) ->
 branch_probabilities (the analyzer's branch powers in closed form) ->
 joint_probabilities -> sample_outcomes (uint8 outcome codes) -> the
 tally's np.bincount over (window, label, outcome). No Jones vector is
-built per pulse, emission times are computed only when the loop drifts,
-and each block's windows are sliced from where each window of the run
-begins (_first_pulses, _block_windows), not taken from every pulse.
+built per pulse and emission times are computed only when the loop
+drifts. Every block is one contiguous range of windows, lo..hi, cut at
+the pulse where each of them begins (_block_windows, _first_pulses), not
+by a window index taken from every pulse.
 The chance of no click is the same for every pulse, so the live set, the
 pulses whose detection draw lies below receiver.click_bound, is taken
 right after the draws; the others end in none, as sample_outcomes would
@@ -22,19 +23,20 @@ Such a block holds _BLOCK pulses; a partly live one holds 2 * _BLOCK,
 which halves the fixed cost per block (see _BLOCK).
 
 The tally is O(live) per pipeline (_live_set, _Tally.add): per block,
-one np.bincount counts the pulses of each (window run, label), shared by
+one np.bincount counts the pulses of each (window, label), shared by
 both drift pipelines; per pipeline, one np.bincount counts the live
-pulses by (window run, label, outcome), and a cell's none slot also gets
-the label's pulses in that run minus the live ones counted there. A
-block that is live as a whole skips the first count: it derives no none.
+pulses by (window, label, outcome), and a cell's none slot also gets
+the label's pulses in that window minus the live ones counted there;
+the block's cells are added to windows lo..hi as one slice. A block
+that is live as a whole skips the first count: it derives no none.
 sift_and_qber counts its records the same way, those with a click live.
 
 Windows close in order: a block's first window can only continue the
 previous block's last one. So _simulate hands the windows out as they
 close (_Piece, one per pipeline), each time at least _SEED_BATCH of them
-are closed and once at the end, and a run holds the tally cells, pulse
-counts and window starts of at most _SEED_BATCH windows plus one block's
-windows (_Windows, _WindowStarts), whatever its number of windows.
+are closed and once at the end, and a run holds the tally cells and
+pulse counts of at most _SEED_BATCH windows plus one block's windows
+(_Windows), whatever its number of windows.
 run_experiment and drift_comparison copy the pieces into the columns of a
 QberSeries: read-only int64 columns of shape [window, label]. The CLI
 writes each piece's CSV rows as it arrives (_stream_csv), through a
@@ -341,11 +343,12 @@ def _windows(t, window_s: float):
     return (t // window_s).astype(np.int64)
 
 
-def _runs(windows):
-    """(edges, ids) of a non-decreasing window array: entries
-    edges[k]..edges[k+1]-1 fall in window ids[k]."""
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(windows)) + 1, [len(windows)]))
-    return edges, windows[edges[:-1]]
+def _edges(windows, lo: int, hi: int):
+    """Where each window lo..hi of the non-decreasing window array
+    ``windows`` (all within lo..hi) begins: entries edges[k]..edges[k+1]-1
+    fall in window lo + k, and a window without entries has a zero-length
+    run."""
+    return np.searchsorted(windows, np.arange(lo, hi + 2))
 
 
 def _first_pulses(lo: int, hi: int, rate: float, window_s: float):
@@ -354,7 +357,8 @@ def _first_pulses(lo: int, hi: int, rate: float, window_s: float):
     monotone in i, so window w begins at the first pulse whose window is w
     or later, predicted to be ceil(w * window_s * rate), and the formula is
     evaluated only at the five pulses within two of each prediction, which
-    must bracket it, _SEED_BATCH windows at a time."""
+    must bracket it, _SEED_BATCH windows at a time. A window without pulses
+    begins where the next window that holds one does."""
     firsts = np.empty(hi - lo, dtype=np.int64)
     for a in range(lo, hi, _SEED_BATCH):
         w = np.arange(a, min(a + _SEED_BATCH, hi))
@@ -366,62 +370,23 @@ def _first_pulses(lo: int, hi: int, rate: float, window_s: float):
     return firsts
 
 
-class _WindowStarts:
-    """The _first_pulses of a run's n_windows windows, computed at least
-    _SEED_BATCH windows at a time as blocks reach them, and kept only from
-    the first window a block asks for on; None for every block once a
-    bracket has missed."""
-
-    def __init__(self, rate: float, window_s: float, n_windows: int):
-        self.rate, self.window_s, self.n_windows = rate, window_s, n_windows
-        self.lo = 0
-        self.firsts = np.empty(0, dtype=np.int64)  # of windows lo, lo + 1, ...
-
-    def __call__(self, lo: int, hi: int):
-        """The first pulses of windows lo..hi-1, or None; lo is never below
-        that of an earlier call."""
-        if self.firsts is None:
-            return None
-        end = self.lo + len(self.firsts)
-        if hi > end:
-            kept = self.firsts[lo - self.lo :]
-            a = max(lo, end)
-            more = _first_pulses(a, min(max(hi, a + _SEED_BATCH), self.n_windows), self.rate, self.window_s)
-            if more is None:
-                self.firsts = None
-                return None
-            self.lo, self.firsts = lo, np.concatenate((kept, more))
-        return self.firsts[lo - self.lo : hi - self.lo]
-
-
-def _block_windows(start: int, stop: int, rate: float, window_s: float, starts):
+def _block_windows(start: int, stop: int, rate: float, window_s: float):
     """Windows of pulses start..stop-1, as _windows(i / rate, window_s) gives
-    them, in runs: (edges, ids), where pulses edges[k]..edges[k+1]-1 of the
-    block fall in window ids[k]. Only windows that hold pulses have a run.
+    them, as one window range: (lo, edges), where pulses
+    edges[k]..edges[k+1]-1 of the block fall in window lo + k. The edges
+    cover every window from the block's first to its last; one without
+    pulses has a zero-length run.
 
-    The windows of the block's two ends come from Python floats, whose
-    division and floor division are numpy's bit for bit; a value past the
-    int64 range (or nan) takes numpy's path, with its warnings or errors.
-    A block inside one window is one run. Otherwise the block's windows
-    begin where ``starts`` (a _WindowStarts of the run) says; where that
-    is None (a bracket missed, or the run has as many windows as pulses),
-    the block is evaluated pulse by pulse, so memory stays O(block)
-    whatever window_s * rate is.
+    The formula is evaluated at the block's two ends, which give its first
+    and last windows, and around the pulse at which each later window
+    begins (_first_pulses); only where a bracket misses is it evaluated
+    pulse by pulse. Work and memory are O(block + windows spanned).
     """
-    n = stop - start
-    lo, hi = (start / rate) // window_s, ((stop - 1) / rate) // window_s
-    if 0 <= lo and hi < 2**63:
-        lo, hi = int(lo), int(hi)
-    else:
-        lo, hi = _windows(np.array([start, stop - 1]) / rate, window_s).tolist()
-    if lo == hi:
-        return np.array([0, n]), np.array([lo])
-    firsts = None if starts is None else starts(lo + 1, hi + 1)
+    lo, hi = _windows(np.array([start, stop - 1]) / rate, window_s).tolist()
+    firsts = _first_pulses(lo + 1, hi + 1, rate, window_s)
     if firsts is None:
-        return _runs(_windows(np.arange(start, stop) / rate, window_s))
-    edges = np.concatenate(([start], firsts, [stop])) - start
-    full = np.flatnonzero(np.diff(edges))
-    return np.append(edges[full], n), lo + full
+        return lo, _edges(_windows(np.arange(start, stop) / rate, window_s), lo, hi)
+    return lo, np.concatenate(([start], firsts, [stop])) - start
 
 
 def _label_blocks(mode: str, n_pulses: int, seed, size: int):
@@ -531,29 +496,32 @@ def _seed_feed():
 
 
 class _LiveSet(NamedTuple):
-    """A block of pulses as _Tally.add counts it: run k of the block falls
-    in window ids[k] and holds sent[k, c] pulses of label code c (None when
-    every pulse is live); base is the tally index (run k, label code c) =
-    (k * 4 + c) * _SLOTS of each live pulse, in pulse order, to which its
-    outcome code is added."""
+    """A block of pulses as _Tally.add counts it: it spans the n_windows
+    windows from lo on, and window lo + k holds sent[k, c] pulses of label
+    code c (None when every pulse is live); base is the tally index
+    (window lo + k, label code c) = (k * 4 + c) * _SLOTS of each live pulse,
+    in pulse order, to which its outcome code is added."""
 
-    ids: np.ndarray
+    lo: int
+    n_windows: int
     sent: np.ndarray | None
     base: np.ndarray
 
 
-def _live_set(edges, ids, codes, live) -> _LiveSet:
+def _live_set(lo: int, edges, codes, live) -> _LiveSet:
     """The _LiveSet of the pulses with label codes ``codes``, whose entries
-    edges[k]..edges[k+1]-1 fall in window ids[k] (see _runs), and whose
-    live pulses are codes[live] (ascending indices, or slice(None) for all)."""
+    edges[k]..edges[k+1]-1 fall in window lo + k (see _block_windows), and
+    whose live pulses are codes[live] (ascending indices, or slice(None)
+    for all)."""
     cell = len(LABEL_CODES) * _SLOTS
+    n_windows = len(edges) - 1
     base = codes * np.intp(_SLOTS)
-    if len(ids) > 1:
-        base += np.repeat(np.arange(0, len(ids) * cell, cell), np.diff(edges))
+    if n_windows > 1:
+        base += np.repeat(np.arange(0, n_windows * cell, cell), np.diff(edges))
     if isinstance(live, slice):
-        return _LiveSet(ids, None, base)
-    sent = np.bincount(base, minlength=len(ids) * cell)[::_SLOTS]
-    return _LiveSet(ids, sent.reshape(len(ids), len(LABEL_CODES)), base[live])
+        return _LiveSet(lo, n_windows, None, base)
+    sent = np.bincount(base, minlength=n_windows * cell)[::_SLOTS]
+    return _LiveSet(lo, n_windows, sent.reshape(n_windows, len(LABEL_CODES)), base[live])
 
 
 class _Windows:
@@ -574,11 +542,12 @@ class _Windows:
             rows[: self.top] = self.rows[: self.top]
             self.rows = rows
 
-    def add(self, ids, counts) -> None:
-        """Add counts[k] to window ids[k]; ids ascend from lo or later."""
-        top = int(ids[-1]) + 1 - self.lo
+    def add(self, lo: int, counts) -> None:
+        """Add counts[k] to window lo + k, for lo at self.lo or later."""
+        a = lo - self.lo
+        top = a + len(counts)
         self._reach(top)
-        self.rows[ids - self.lo] += counts
+        self.rows[a:top] += counts
         self.top = max(self.top, top)
 
     def hand_out(self, hi: int):
@@ -608,19 +577,19 @@ class _Tally:
     def add(self, block: _LiveSet, outcomes) -> None:
         """Count a block whose live pulses end in the outcome codes
         ``outcomes``, by one np.bincount over them; each other pulse ends in
-        none, so a cell's none slot also gets the label's pulses in that run
-        minus the live ones counted there."""
+        none, so a cell's none slot also gets the label's pulses in that
+        window minus the live ones counted there."""
         flat = block.base + outcomes
         if self.coin is not None:
             doubles = np.flatnonzero(outcomes == _DOUBLE)
             flat[doubles] += (_COIN_0 - _DOUBLE) + self.coin.integers(0, 2, size=len(doubles))
-        counts = np.bincount(flat, minlength=len(block.ids) * len(LABEL_CODES) * _SLOTS)
-        counts = counts.reshape(len(block.ids), len(LABEL_CODES), _SLOTS)
+        counts = np.bincount(flat, minlength=block.n_windows * len(LABEL_CODES) * _SLOTS)
+        counts = counts.reshape(block.n_windows, len(LABEL_CODES), _SLOTS)
         if block.sent is not None:
             dead = block.sent - counts.sum(axis=-1)
             assert dead.min() >= 0, "more live pulses than pulses sent in a (window, label) cell"
             counts[..., _NONE] += dead
-        self.windows.add(block.ids, counts)
+        self.windows.add(block.lo, counts)
 
 
 def _columns(cells, labels):
@@ -702,11 +671,13 @@ def sift_and_qber(
     tally = _Tally(double_click_policy, assignment_seed)
     if index:
         index = np.array(index)
-        edges, ids = _runs(_windows(index / repetition_rate_hz, window_s))
+        windows = _windows(index / repetition_rate_hz, window_s)
+        lo, hi = windows[[0, -1]].tolist()
+        edges = _edges(windows, lo, hi)
         outcomes = np.array(outcomes, dtype=np.uint8)
         # a record with a click is live; the others are counted as none
         live = np.flatnonzero(outcomes != _NONE)
-        tally.add(_live_set(edges, ids, codes[index], live), outcomes[live])
+        tally.add(_live_set(lo, edges, codes[index], live), outcomes[live])
     labels = np.unique(codes).tolist()
     return _series(labels, window_s, _columns(tally.windows.hand_out(n_windows), labels))
 
@@ -773,8 +744,6 @@ def _simulate(config: RunConfig, inline_flags, labels):
     drifts = enc.drift.kind != DRIFT_NONE
     feed = _seed_feed()
     Generator, PCG64 = np.random.Generator, np.random.PCG64
-    # a run with as many windows as pulses evaluates each pulse's window instead
-    starts = _WindowStarts(rate, window_s, n_windows) if n_windows < n else None
     # blocks of a partly live run are twice as long (see _BLOCK), and span
     # at most about _BLOCK_WINDOWS windows
     size = _BLOCK if all_live else 2 * _BLOCK
@@ -786,12 +755,13 @@ def _simulate(config: RunConfig, inline_flags, labels):
     for codes in _label_blocks(config.sequence_mode, n, config.sequence_seed, size):
         stop = start + len(codes)
         with _out_of_range_is_a_config_error():
-            edges, ids = _block_windows(start, stop, rate, window_s, starts)
+            lo, edges = _block_windows(start, stop, rate, window_s)
             normals = np.empty(len(codes))
             uniforms = np.empty(len(codes))
-            for a, b, w in zip(edges.tolist(), edges[1:].tolist(), ids.tolist()):
-                # a window continued from the previous block keeps its streams;
-                # windows without pulses get none
+            for w, (a, b) in enumerate(zip(edges.tolist(), edges[1:].tolist()), lo):
+                if a == b:
+                    continue  # a window without pulses gets no streams
+                # a window continued from the previous block keeps its streams
                 if w != open_window:
                     if w >= batch_hi:
                         batch_lo, batch_hi = w, min(w + _SEED_BATCH, n_windows)
@@ -805,7 +775,7 @@ def _simulate(config: RunConfig, inline_flags, labels):
                 rng_det.random(out=uniforms[a:b])
             # only these pulses can click (see click_bound); the others end in none
             live = slice(None) if all_live else np.flatnonzero(uniforms < bound)
-            block = _live_set(edges, ids, codes, live)
+            block = _live_set(lo, edges, codes, live)
             # phase_difference is elementwise, so it runs on the live pulses
             # alone where phase_bound proves that no pulse of the block can
             # overflow there; elsewhere on all of them, so an overflow raises as before
@@ -824,10 +794,10 @@ def _simulate(config: RunConfig, inline_flags, labels):
                 # q0, q1 kept bound until the next block: freed earlier, glibc trims the heap and faults it in again
                 q0, q1 = branch_probabilities(x, det.basis)
                 tally.add(block, sample_outcomes(joint_probabilities(q0, q1, mu, det), u_live))
-        pulses.add(ids, np.diff(edges))
+        pulses.add(lo, np.diff(edges))
         start = stop
         # the next block begins in this block's last window or a later one
-        closed = n_windows if stop == n else int(ids[-1])
+        closed = n_windows if stop == n else lo + len(edges) - 2
         if closed - pulses.lo >= _SEED_BATCH or stop == n:
             yield _pieces(closed, pulses, tallies, labels)
 

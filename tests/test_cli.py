@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import os
 import stat
@@ -345,20 +346,30 @@ def test_an_output_pipe_is_written_straight(tmp_path):
     reader.start()
     with contextlib.redirect_stdout(io.StringIO()):
         status = run(CliInvocation(scenario="fig2", output_path=str(fifo)))
-    if reader.is_alive() and stat.S_ISFIFO(fifo.stat().st_mode):
-        open(fifo, "w").close()  # a writer, so a reader the run never met returns
+    # a reader that read to the run's EOF may not have returned yet
     reader.join(timeout=10)
+    if reader.is_alive() and stat.S_ISFIFO(fifo.stat().st_mode):
+        # a writer, so a reader the run never met returns; opened without
+        # blocking, since a reader that has just returned leaves none to meet
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:  # no reader
+                raise
+        reader.join(timeout=10)
     assert status == 0 and read and read[0].startswith("# scenario = fig2\n")
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
 
 
-def _memory_peak(tmp_path, n_windows):
+def _memory_peak(tmp_path, n_windows, pulses_per_window=16):
     """tracemalloc's peak, in bytes, over a CLI run of ``n_windows``
-    windows of 16 pulses (exact binary window bounds)."""
+    windows of ``pulses_per_window`` pulses, a power of two (exact binary
+    window bounds)."""
     cfg_path = tmp_path / f"{n_windows}.cfg"
     rate = 2**20
-    cfg_path.write_text(f"repetition_rate_hz = {rate}\nwindow_s = {16 / rate!r}\nduration_s = {16 * n_windows / rate!r}\n")
+    window_s, duration_s = pulses_per_window / rate, pulses_per_window * n_windows / rate
+    cfg_path.write_text(f"repetition_rate_hz = {rate}\nwindow_s = {window_s!r}\nduration_s = {duration_s!r}\n")
     inv = CliInvocation(scenario="custom", config_path=str(cfg_path), output_path=str(tmp_path / "o.csv"))
     with contextlib.redirect_stdout(io.StringIO()):
         tracemalloc.start()
@@ -376,6 +387,17 @@ def test_cli_memory_does_not_grow_with_the_number_of_windows(tmp_path):
     peaks = [_memory_peak(tmp_path, n) for n in (2**11, 2**12, 2**13)]
     growth = [(b - a) / n for a, b, n in zip(peaks, peaks[1:], (2**11, 2**12))]
     assert max(growth) < 40, (peaks, growth)
+
+
+def test_cli_memory_does_not_grow_with_the_number_of_pulses(tmp_path):
+    # 20 windows of 2^15, 2^16 and 2^17 pulses (0.66 to 2.6 M): a run holds
+    # one block's arrays whatever its length, so the peak read 780 KiB at
+    # each; an array of one byte per pulse would grow it 1 B per pulse
+    _memory_peak(tmp_path, 20)  # first-run caches and imports, untraced in effect
+    sizes = [20 * 2**k for k in (15, 16, 17)]
+    peaks = [_memory_peak(tmp_path, 20, n // 20) for n in sizes]
+    growth = [(b - a) / (m - n) for a, b, n, m in zip(peaks, peaks[1:], sizes, sizes[1:])]
+    assert max(growth) < 0.1, (peaks, growth)
 
 
 # Run-size values: each run is at most a few hundred pulses and windows, or

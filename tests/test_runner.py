@@ -448,12 +448,11 @@ def test_block_size_does_not_change_results(monkeypatch, tmp_path, block):
                 assert assert_streams_as(drift, (False, True), expected_drift, tmp_path) > 1
 
 
-def live_tally_reference(n_windows, edges, ids, codes, live, outcomes, policy, seed):
-    """_Tally's cells counted pulse by pulse: a live pulse in its outcome's
-    slot (a double click in a coin's slot under the random policy, coins
-    drawn in pulse order), every other pulse in none."""
+def live_tally_reference(n_windows, window, codes, live, outcomes, policy, seed):
+    """_Tally's cells counted pulse by pulse, pulse i in window[i]: a live
+    pulse in its outcome's slot (a double click in a coin's slot under the
+    random policy, coins drawn in pulse order), every other pulse in none."""
     cells = np.zeros((n_windows, len(LABEL_CODES), runner._SLOTS), dtype=np.int64)
-    window = np.repeat(ids, np.diff(edges))
     slots = np.full(len(codes), runner._NONE)
     slots[live] = outcomes
     if policy == "random":
@@ -469,34 +468,40 @@ def live_tally_reference(n_windows, edges, ids, codes, live, outcomes, policy, s
 def test_live_tally_counts_every_other_pulse_as_none(policy):
     rng = np.random.default_rng(3)
     n = 2000
-    # 150 window runs, some windows skipped; run 7 gets no live pulse
+    # 150 windows hold pulses, in runs; the windows between them hold none
+    # and have zero-length runs; run 7 gets no live pulse
     ids = np.sort(rng.choice(400, size=150, replace=False))
-    edges = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), size=149, replace=False)), [n]))
+    runs = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), size=149, replace=False)), [n]))
+    window = np.repeat(ids, np.diff(runs))
+    lo, hi = int(ids[0]), int(ids[-1])
+    edges = runner._edges(window, lo, hi)
+    assert len(edges) == hi - lo + 2 and np.count_nonzero(np.diff(edges)) == 150
     codes = rng.integers(0, len(LABEL_CODES), size=n).astype(np.int8)
     live = np.flatnonzero(rng.random(n) < 0.3)
-    live = live[(live < edges[7]) | (live >= edges[8])]
+    live = live[(live < runs[7]) | (live >= runs[8])]
     # a live pulse may still end in none
     outcomes = rng.integers(0, 4, size=len(live)).astype(np.uint8)
     tally = runner._Tally(policy, 9)
-    block = runner._live_set(edges, ids, codes, live)
-    assert len(block.base) == len(live) and block.sent.shape == (150, len(LABEL_CODES))
+    block = runner._live_set(lo, edges, codes, live)
+    assert block.lo == lo and block.n_windows == hi - lo + 1
+    assert len(block.base) == len(live) and block.sent.shape == (hi - lo + 1, len(LABEL_CODES))
     tally.add(block, outcomes)
     cells = tally.windows.hand_out(400)
-    expected = live_tally_reference(400, edges, ids, codes, live, outcomes, policy, 9)
+    expected = live_tally_reference(400, window, codes, live, outcomes, policy, 9)
     np.testing.assert_array_equal(cells, expected)
     # a none slot is the label's pulses in the window minus its live pulses
     # that did not end in none
     sent = np.zeros((400, len(LABEL_CODES)), dtype=np.int64)
-    np.add.at(sent, (np.repeat(ids, np.diff(edges)), codes), 1)
+    np.add.at(sent, (window, codes), 1)
     clicked = cells.sum(axis=-1) - cells[..., runner._NONE]
     np.testing.assert_array_equal(cells[..., runner._NONE], sent - clicked)
-    assert cells[ids[7], :, runner._NONE].sum() == edges[8] - edges[7]
+    assert cells[ids[7], :, runner._NONE].sum() == runs[8] - runs[7]
     # the same block with every pulse live, its outcome codes none but for
     # the live ones, gives the same cells
     every = runner._Tally(policy, 9)
     full = np.full(n, runner._NONE, dtype=np.uint8)
     full[live] = outcomes
-    every.add(runner._live_set(edges, ids, codes, slice(None)), full)
+    every.add(runner._live_set(lo, edges, codes, slice(None)), full)
     np.testing.assert_array_equal(every.windows.hand_out(400), expected)
 
 
@@ -513,7 +518,9 @@ def test_sift_and_qber_counts_records_through_the_live_tally():
 
     with mock.patch.object(runner._Tally, "add", add):
         series = sift_and_qber(records, sequence, 10.0, 1.0)
+    # one block: windows 0..3, window 2 counted with no live pulse
     (block,) = blocks
+    assert block.lo == 0 and block.n_windows == 4 and block.sent.shape == (4, len(LABEL_CODES))
     assert len(block.base) == sum(outcome != "none" for outcome in outcomes)
     clicks = [[outcomes[i] != "none" for i in range(w * 10, w * 10 + 10)].count(True) for w in range(4)]
     assert series.outcome_counts[:, 3].tolist() == [10 - c for c in clicks]
@@ -886,13 +893,60 @@ def test_blocks_stay_under_the_mmap_threshold():
     assert block_faults(runner._BLOCK) < bound
 
 
+def pognac_calls(config):
+    """The Python calls, generator resumptions included, of frames whose
+    code lives in the pognac package over run_experiment(config), counted
+    with sys.setprofile."""
+    package = os.path.dirname(runner.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run_experiment(config)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def marginal_calls(config, small, large):
+    """pognac_calls per unit of size between config(small) and
+    config(large), after an untraced run of config(small) has filled the
+    first-run caches: set-up cancels."""
+    run_experiment(config(small))
+    return (pognac_calls(config(large)) - pognac_calls(config(small))) / (large - small)
+
+
+def test_python_calls_per_window_and_per_block_are_bounded():
+    # A per-pulse Python loop would add a call per pulse: 100 per window here
+    # and thousands per block.
+    # 10 and 50 windows of 100 pulses, every pulse live, in one block: 2.0
+    # calls per window
+    per_window = marginal_calls(lambda windows: random_policy_config(duration_s=windows * 1e-3, window_s=1e-3), 10, 50)
+    assert per_window < 3
+    # one window of 4 and of 20 partly live blocks of 2 * _BLOCK pulses: 22.0
+    # calls per block
+    rate, block = 2**20, 2 * runner._BLOCK
+
+    def one_window(blocks):
+        return RunConfig(repetition_rate_hz=rate, duration_s=blocks * block / rate, window_s=blocks * block / rate)
+
+    assert click_bound(label_table(one_window(1).encoder).mu, one_window(1).detector) < 0.5
+    per_block = marginal_calls(one_window, 4, 20)
+    assert per_block < 30
+
+
 def test_block_windows_out_of_range_fails_as_numpy_does():
-    # a block end past the int64 range takes numpy's path: under the kernel's
+    # a block end past the int64 range fails in numpy: under the kernel's
     # error state a FloatingPointError, which the run reports as a config
     # error, never an OverflowError from int()
     for start, stop, rate, window_s in [(0, 2, 1e-320, 1.0), (3, 5, 1.0, 5e-324), (0, 2, 1.0, 1e-300)]:
         with np.errstate(over="raise", invalid="raise", divide="raise"), pytest.raises(FloatingPointError):
-            runner._block_windows(start, stop, rate, window_s, None)
+            runner._block_windows(start, stop, rate, window_s)
 
 
 def test_windows_without_pulses_skip_their_streams(monkeypatch):
@@ -920,8 +974,10 @@ def block_windows_cases(draw):
         exponent = draw(st.floats(-4.0, 0.0) if kind == "shorter than a pulse period" else st.floats(0.0, 4.0))
         window_s = 10.0**exponent / rate
     start = draw(st.sampled_from([0, 10**4, 10**7, 10**9, 10**11])) + draw(st.integers(0, 10**5))
-    # at most one block of pulses, so memory stays bounded whatever the draw
-    stop = start + draw(st.sampled_from([2 * runner._BLOCK, runner._BLOCK, runner._BLOCK - 1, 1000, 7, 2, 1]))
+    # at most one block of pulses, cut as _simulate cuts it to span about
+    # _BLOCK_WINDOWS windows, so memory stays bounded whatever the draw
+    size = draw(st.sampled_from([2 * runner._BLOCK, runner._BLOCK, runner._BLOCK - 1, 1000, 7, 2, 1]))
+    stop = start + min(size, max(int(runner._BLOCK_WINDOWS * window_s * rate), 1))
     return rate, window_s, start, stop
 
 
@@ -937,35 +993,25 @@ def test_block_windows_match_the_per_pulse_formula(case):
         sizes.append(np.size(t))
         return formula(t, window_s)
 
-    # the pulse at which each later window of the block begins, bracketed at
-    # five pulses around each predicted boundary, _SEED_BATCH windows at a time
-    if hi - lo < stop - start:
-        with mock.patch.object(runner, "_windows", windows):
-            firsts = runner._first_pulses(lo + 1, hi + 1, rate, window_s)
-        np.testing.assert_array_equal(firsts, start + np.searchsorted(expected, np.arange(lo + 1, hi + 1)))
-        assert sum(sizes) == 5 * (hi - lo) and max(sizes, default=0) <= 5 * runner._SEED_BATCH
-    # a block's two ends are evaluated on Python floats; a block that spans
-    # windows slices its runs from the run's window starts, computed from
-    # the block's second window on, and evaluates the formula pulse by
-    # pulse without them or where a bracket missed
-    for starts in (None, runner._WindowStarts(rate, window_s, hi + 1) if hi - lo < stop - start else None):
-        sizes.clear()
-        with mock.patch.object(runner, "_windows", windows):
-            edges, ids = runner._block_windows(start, stop, rate, window_s, starts)
-        np.testing.assert_array_equal(np.repeat(ids, np.diff(edges)), expected)
-        run_starts = np.flatnonzero(np.diff(expected)) + 1
-        np.testing.assert_array_equal(edges, np.concatenate(([0], run_starts, [stop - start])))
-        np.testing.assert_array_equal(ids, expected[edges[:-1]])
-        if lo == hi:
-            assert sizes == []
-        elif starts is None:
-            assert sizes == [stop - start]
-        elif starts.firsts is None:
-            # a bracket missed: the brackets evaluated up to the miss, then
-            # the formula pulse by pulse, once
-            assert sizes[-1] == stop - start and sum(sizes[:-1]) <= 5 * (hi - lo)
-        else:
-            assert sum(sizes) == 5 * (hi - lo)
+    def check(block):
+        # pulses edges[k]..edges[k+1]-1 fall in window lo + k; every window
+        # lo..hi has a run, a zero-length one where it holds no pulse
+        got_lo, edges = block
+        assert got_lo == lo and len(edges) == hi - lo + 2
+        np.testing.assert_array_equal(np.repeat(np.arange(lo, hi + 1), np.diff(edges)), expected)
+        np.testing.assert_array_equal(edges, np.searchsorted(expected, np.arange(lo, hi + 2)))
+
+    # the formula at the block's two ends, then at the five pulses around
+    # each later window's predicted first pulse, _SEED_BATCH windows at a time
+    with mock.patch.object(runner, "_windows", windows):
+        check(runner._block_windows(start, stop, rate, window_s))
+    assert sizes[0] == 2 and sum(sizes[1:]) == 5 * (hi - lo)
+    assert max(sizes[1:], default=0) <= 5 * runner._SEED_BATCH
+    # where a bracket misses, the block is evaluated pulse by pulse, once
+    sizes.clear()
+    with mock.patch.object(runner, "_windows", windows), mock.patch.object(runner, "_first_pulses", lambda *a: None):
+        check(runner._block_windows(start, stop, rate, window_s))
+    assert sizes == [2, stop - start]
 
 
 def rendered_row_by_row(rows):

@@ -433,9 +433,12 @@ def phase_difference(codes, t, normals, config: EncoderConfig, inline: bool = Fa
     """
     table = label_table(config)
     drifts = config.drift.kind != DRIFT_NONE
-    x = table.phi_e[codes] + table.sigma[codes] * normals
-    # in place on arrays, in the operation order of
+    # in place on the gathered sigma, which gives the bits of
+    # phi_e + sigma * z, then in the operation order of
     # x (+ loop drift) - phi_l - frame (+ inline drift)
+    x = table.sigma[codes]
+    x *= normals
+    x += table.phi_e[codes]
     if drifts and not inline:
         x += config.drift.theta_diff(t, t + table.lead)
     x -= table.phi_l[codes]

@@ -9,8 +9,13 @@ click, or nothing. ``branch_probabilities`` (the analyzer, in closed form;
 of the detectors' firing model), ``joint_probabilities`` and
 ``sample_outcomes`` are the array kernel; ``click_probabilities``,
 ``simulate_detection`` and ``presets.preset_expected_qber`` call the same model.
-Each step is one expression that takes floats and arrays alike, so the
-per-pulse reference and the run kernel run the same code. The chance of
+Each step is one expression path that takes floats and arrays alike, so
+the per-pulse reference and the run kernel run the same code; a float
+pulse gives numpy scalars. A step works in place only on arrays it made
+itself, by augmented assignment, and never writes to an argument: the
+drift pipelines share their inputs. It reorders an operation only where
+IEEE arithmetic gives the same bits (a + b = b + a, a * b = b * a, and
+1 - k*e as (e * -k) + 1). The chance of
 no click does not depend on the pulse's phase, so ``click_bound`` reads it
 from ``joint_probabilities`` once per run: a uniform draw at or above the
 bound samples none for every pulse, and the run kernel runs the chain only
@@ -120,8 +125,13 @@ def branch_probabilities(x, basis: str):
     from loop states of phase difference ``x`` (encoder.phase_difference):
     branch_powers of the Jones states emit_batch builds, in closed form.
     ``x`` may be a float or an array."""
-    c = 0.5 * np.cos(x + _BRANCH_OFFSET[BASES.check("basis", basis)])
-    return 0.5 + c, 0.5 - c
+    c = np.cos(x + _BRANCH_OFFSET[BASES.check("basis", basis)])
+    # 0.5 - 0.5 c as (c * -0.5) + 0.5, and 0.5 + 0.5 c in place on c
+    q1 = c * -0.5
+    q1 += 0.5
+    c *= 0.5
+    c += 0.5
+    return c, q1
 
 
 def click_marginals(q0, q1, mu: float, params: DetectorParams):
@@ -131,7 +141,14 @@ def click_marginals(q0, q1, mu: float, params: DetectorParams):
     NONNEG.check("mean photon number", mu)
     gain = mu * params.efficiency
     keep = 1.0 - params.dark_count_prob_per_gate
-    return 1.0 - keep * np.exp(-gain * q0), 1.0 - keep * np.exp(-gain * q1)
+    # 1 - keep * e as (e * -keep) + 1, in place on e
+    p0 = np.exp(q0 * -gain)
+    p0 *= -keep
+    p0 += 1.0
+    p1 = np.exp(q1 * -gain)
+    p1 *= -keep
+    p1 += 1.0
+    return p0, p1
 
 
 def joint_probabilities(q0, q1, mu: float, params: DetectorParams):
@@ -139,7 +156,12 @@ def joint_probabilities(q0, q1, mu: float, params: DetectorParams):
     branch powers q0, q1 (see branch_powers); they sum to one."""
     p0, p1 = click_marginals(q0, q1, mu, params)
     n0, n1 = 1.0 - p0, 1.0 - p1
-    return p0 * n1, p1 * n0, p0 * p1, n0 * n1
+    none = n0 * n1
+    # the other three in place on p0, n0 and n1, which this step made
+    n1 *= p0
+    n0 *= p1
+    p0 *= p1
+    return n1, n0, p0, none
 
 
 def click_bound(mu: float, params: DetectorParams) -> float:
@@ -166,8 +188,13 @@ def sample_outcomes(probabilities, u):
     exceeds u, so a draw equal to a cumulative sum goes to the next outcome;
     none when no click does."""
     c0, c1, double, _ = probabilities
-    c01 = c0 + c1
-    return np.uint8(3) - (u < c0) - (u < c01) - (u < c01 + double)
+    code = np.uint8(3) - (u < c0)
+    # c0 + c1, then c0 + c1 + double, in place on the sum
+    c = c0 + c1
+    code -= u < c
+    c += double
+    code -= u < c
+    return code
 
 
 def click_probabilities(state, mu: float, params: DetectorParams) -> ClickProbabilities:

@@ -250,8 +250,9 @@ class QberSeries:
     @property
     def rows(self) -> tuple[WindowRow, ...]:
         """One row per (window, sent label), in CSV order."""
-        starts = np.arange(len(self.correct)) * self.window_s
-        return tuple(map(WindowRow, *_row_columns(self.labels, starts, self.correct, self.error, self.discarded)))
+        starts = np.repeat(np.arange(len(self.correct)) * self.window_s, len(self.labels)).tolist()
+        counts = (a.ravel().tolist() for a in (self.correct, self.error, self.discarded))
+        return tuple(map(WindowRow, starts, self.labels * len(self.correct), *counts))
 
     def label_stats(self) -> dict[str, LabelStats]:
         return _label_stats(self.labels, *(a.sum(axis=0).tolist() for a in (self.correct, self.error, self.discarded)))
@@ -281,30 +282,24 @@ def _label_stats(labels, n_correct, n_error, n_discarded) -> dict[str, LabelStat
     return out
 
 
-def _row_columns(labels, starts, correct, error, discarded):
-    """The rows of the windows whose counts are given, in CSV order, as
-    parallel lists: window start (starts[k] for the k-th window), label,
-    n_correct, n_error, n_discarded."""
-    return (
-        np.repeat(starts, len(labels)).tolist(),
-        labels * len(correct),
-        *(a.ravel().tolist() for a in (correct, error, discarded)),
-    )
-
-
 def _csv_rows(labels, window_s: float, lo: int, correct, error, discarded):
     """The CSV rows of windows lo, lo + 1, ..., whose [window, label]
-    counts are given, as pieces of text of at most _SEED_BATCH windows."""
-    row = "{},{},{},{},{},{}\n".format
+    counts are given, as pieces of text of at most _SEED_BATCH windows.
+    Each piece is one %-format over an object array of its rows' six
+    fields: the starts and qbers as repr strings, the counts as Python ints."""
     for a in range(0, len(correct), _SEED_BATCH):
         b = min(a + _SEED_BATCH, len(correct))
         n = correct[a:b] + error[a:b]
         # counts stay below 2**53 (_MAX_PULSES), so IEEE division gives Python's
         # int quotient bit for bit; nan flags an empty cell, as _qber does
         qber = np.divide(error[a:b], n, out=np.full(n.shape, math.nan), where=n > 0)
-        starts = _reprs(np.arange(lo + a, lo + b) * window_s)
-        columns = _row_columns(labels, starts, correct[a:b], error[a:b], discarded[a:b])
-        yield "".join(map(row, *columns, _reprs(qber.ravel()).tolist()))
+        fields = np.empty((b - a, len(labels), 6), dtype=object)
+        fields[..., 0] = _reprs(np.arange(lo + a, lo + b) * window_s)[:, None]
+        fields[..., 1] = labels
+        for k, column in enumerate((correct, error, discarded), 2):
+            fields[..., k] = column[a:b]
+        fields[..., 5] = _reprs(qber.ravel()).reshape(qber.shape)
+        yield ("%s,%s,%s,%s,%s,%s\n" * n.size) % tuple(fields.ravel())
 
 
 def _reprs(values):

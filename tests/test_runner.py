@@ -4,6 +4,8 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -46,7 +48,10 @@ from pognac.receiver import (
     branch_powers,
     branch_probabilities,
     click_bound,
+    click_marginals,
     click_probabilities,
+    joint_probabilities,
+    sample_outcomes,
     simulate_detection,
 )
 from pognac.runner import (
@@ -938,6 +943,110 @@ def test_python_calls_per_window_and_per_block_are_bounded():
     assert click_bound(label_table(one_window(1).encoder).mu, one_window(1).detector) < 0.5
     per_block = marginal_calls(one_window, 4, 20)
     assert per_block < 30
+
+
+def numpy_random_calls(config):
+    """Calls of numpy.random.default_rng, SeedSequence and PCG64 over
+    run_experiment(config), counted by wrappers on the module attributes,
+    which the kernel looks up at call time."""
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(np.random, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    names = ("default_rng", "SeedSequence", "PCG64")
+    with mock.patch.multiple(np.random, **{name: counted(name) for name in names}):
+        run_experiment(config)
+    return [calls[name] for name in names]
+
+
+def test_windows_build_two_bit_generators_and_no_seed_sequence():
+    # Each window that holds pulses gets one PCG64 per role, fed the batch's
+    # seed words; a per-window default_rng((seed, w, k)) runs in numpy, where
+    # the calls guard sees nothing, and would read 2 default_rng and 0 PCG64.
+    def config(windows):
+        return random_policy_config(duration_s=windows * 1e-3, window_s=1e-3)
+
+    run_experiment(config(10))
+    small, large = numpy_random_calls(config(10)), numpy_random_calls(config(50))
+    per_window = [(b - a) / 40 for a, b in zip(small, large)]
+    assert per_window == [0.0, 0.0, 2.0]
+
+
+@pytest.mark.parametrize("basis", ["HV", "DA"])
+@pytest.mark.parametrize("inline", [False, True])
+@pytest.mark.parametrize(
+    "drift", [DriftProfile(DRIFT_LINEAR, 0.3, 2.0), DriftProfile.sinusoidal(math.pi, 10.0)], ids=["linear", "sinusoidal"]
+)
+def test_the_chain_writes_to_no_argument_and_keeps_floats_scalar(basis, inline, drift):
+    # The drift pipelines share codes, t, normals and the draws, and
+    # preset_expected_qber reuses its nodes: a step may work in place only
+    # on arrays it made itself. A float pulse stays a numpy scalar, and has
+    # the bits of the same pulse in an array.
+    config = random_policy_config(encoder=replace(random_policy_config().encoder, drift=drift))
+    enc, det = config.encoder, replace(config.detector, basis=basis)
+    mu = label_table(enc).mu
+    rng = np.random.default_rng(9)
+    codes = rng.integers(0, len(LABEL_CODES), 64).astype(np.int8)
+    t, normals, u = rng.random(64) * 100.0, rng.standard_normal(64), rng.random(64)
+
+    def checked(step, arrays, *rest):
+        """step(*arrays, *rest), asserting that it left ``arrays`` as they were."""
+        before = [np.copy(a) for a in arrays]
+        result = step(*arrays, *rest)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before)), step.__name__
+        return result
+
+    def chain(codes, t, normals, u):
+        """The results of each step of the chain, for pulses given as arrays or floats."""
+        x = checked(phase_difference, (codes, t, normals), enc, inline)
+        q0, q1 = checked(branch_probabilities, (x,), basis)
+        marginals = checked(click_marginals, (q0, q1), mu, det)
+        probabilities = checked(joint_probabilities, (q0, q1), mu, det)
+        return [(x,), (q0, q1), marginals, probabilities, (checked(sample_outcomes, (probabilities, u)),)]
+
+    pulses = chain(codes, t, normals, u)
+    first = chain(int(codes[0]), float(t[0]), float(normals[0]), float(u[0]))
+    for results, scalars in zip(pulses, first):
+        for r, f in zip(results, scalars):
+            assert type(f) is r.dtype.type  # np.float64 or np.uint8, never a 0-d array
+            assert np.array(f).tobytes() == r[:1].tobytes()
+
+
+def test_the_chain_holds_at_most_ten_block_sized_arrays():
+    # The run kernel keeps x, q0 and q1 bound through a block. The chain's
+    # traced peak on one all-live block, in float64 arrays of _BLOCK pulses,
+    # read 11.0 with a fresh array for every operation and 8.4 with each
+    # step working in place on the arrays it made itself.
+    config = random_policy_config()
+    enc, det = config.encoder, config.detector
+    mu = label_table(enc).mu
+    assert click_bound(mu, det) >= runner._ALL_LIVE
+    rng = np.random.default_rng(3)
+    n = runner._BLOCK
+    codes = rng.integers(0, 3, n).astype(np.int8)
+    normals, u = rng.standard_normal(n), rng.random(n)
+
+    def block():
+        x = phase_difference(codes, None, normals, enc)
+        q0, q1 = branch_probabilities(x, det.basis)
+        return sample_outcomes(joint_probabilities(q0, q1, mu, det), u)
+
+    block()  # first-call caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        block()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) <= 10, peak / (8 * n)
 
 
 def test_block_windows_out_of_range_fails_as_numpy_does():

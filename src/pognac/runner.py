@@ -31,18 +31,21 @@ the block's cells are added to windows lo..hi as one slice. A block
 that is live as a whole skips the first count: it derives no none.
 sift_and_qber counts its records the same way, those with a click live.
 
-Windows close in order: a block's first window can only continue the
-previous block's last one. So _simulate hands the windows out as they
-close (_Piece, one per pipeline), each time at least _SEED_BATCH of them
-are closed and once at the end, and a run holds the tally cells and
-pulse counts of at most _SEED_BATCH windows plus one block's windows
-(_Windows), whatever its number of windows.
+The tally holds a pipeline's windows and hands them out (_Tally.hand_out,
+a _Piece). Windows close in order: a block's first window can only
+continue the previous block's last one. So _simulate hands the windows
+out as they close, each time at least _SEED_BATCH of them are closed and
+once at the end, and a run holds the tally cells of at most _SEED_BATCH
+windows plus one block's windows, whatever its number of windows. Two
+checks run on a run and on sift_and_qber alike: per block, the outcomes
+of each window add up to the pulses sent in it; per hand-out, the label
+totals of the cells equal the sums of the piece's rows.
 run_experiment and drift_comparison copy the pieces into the columns of a
 QberSeries: read-only int64 columns of shape [window, label]. The CLI
 writes each piece's CSV rows as it arrives (_stream_csv), through a
 temporary file, and keeps only running label totals. One renderer
 (_csv_rows) turns at most _SEED_BATCH windows at a time into CSV text, for
-QberSeries.csv_chunks and the CLI alike.
+QberSeries.to_csv and the CLI alike.
 
 Randomness is organized so results are bit-identical however the work is
 chunked: the label sequence comes from one seeded generator, each analysis
@@ -257,14 +260,9 @@ class QberSeries:
     def label_stats(self) -> dict[str, LabelStats]:
         return _label_stats(self.labels, *(a.sum(axis=0).tolist() for a in (self.correct, self.error, self.discarded)))
 
-    def csv_chunks(self):
-        """to_csv() in pieces of at most _SEED_BATCH windows, header first."""
-        yield _CSV_HEADER
-        yield from _csv_rows(self.labels, self.window_s, 0, self.correct, self.error, self.discarded)
-
     def to_csv(self) -> str:
         """Windowed series in the fixed output schema."""
-        return "".join(self.csv_chunks())
+        return _CSV_HEADER + "".join(_csv_rows(self.labels, self.window_s, 0, self.correct, self.error, self.discarded))
 
 
 _CSV_HEADER = "window_start_s,sent_label,n_correct,n_error,n_discarded,qber\n"
@@ -387,8 +385,8 @@ def _block_windows(start: int, stop: int, rate: float, window_s: float):
 def _label_blocks(mode: str, n_pulses: int, seed, size: int):
     """The emission sequence as int8 label codes, in blocks of at most
     ``size`` pulses (see generate_sequence)."""
-    if n_pulses <= 0:
-        raise ConfigurationError(f"n_pulses must be positive, got {n_pulses}")
+    if not (SEED.ok(n_pulses) and n_pulses > 0):
+        raise ConfigurationError(f"n_pulses must be a positive integer, got {n_pulses}")
     _SEQUENCE_MODES.check("mode", mode)
     SEED.check("seed", seed)
     rng = np.random.default_rng(seed) if mode == SEQUENCE_HVD else None
@@ -492,13 +490,14 @@ def _seed_feed():
 
 class _LiveSet(NamedTuple):
     """A block of pulses as _Tally.add counts it: it spans the n_windows
-    windows from lo on, and window lo + k holds sent[k, c] pulses of label
-    code c (None when every pulse is live); base is the tally index
-    (window lo + k, label code c) = (k * 4 + c) * _SLOTS of each live pulse,
-    in pulse order, to which its outcome code is added."""
+    windows from lo on, and window lo + k holds pulses[k] pulses, sent[k, c]
+    of them of label code c (None when every pulse is live); base is the
+    tally index (window lo + k, label code c) = (k * 4 + c) * _SLOTS of each
+    live pulse, in pulse order, to which its outcome code is added."""
 
     lo: int
     n_windows: int
+    pulses: np.ndarray
     sent: np.ndarray | None
     base: np.ndarray
 
@@ -509,71 +508,57 @@ def _live_set(lo: int, edges, codes, live) -> _LiveSet:
     whose live pulses are codes[live] (ascending indices, or slice(None)
     for all)."""
     cell = len(LABEL_CODES) * _SLOTS
-    n_windows = len(edges) - 1
+    pulses = np.diff(edges)
+    n_windows = len(pulses)
     base = codes * np.intp(_SLOTS)
     if n_windows > 1:
-        base += np.repeat(np.arange(0, n_windows * cell, cell), np.diff(edges))
+        base += np.repeat(np.arange(0, n_windows * cell, cell), pulses)
     if isinstance(live, slice):
-        return _LiveSet(lo, n_windows, None, base)
+        return _LiveSet(lo, n_windows, pulses, None, base)
     sent = np.bincount(base, minlength=n_windows * cell)[::_SLOTS]
-    return _LiveSet(lo, n_windows, sent.reshape(n_windows, len(LABEL_CODES)), base[live])
+    return _LiveSet(lo, n_windows, pulses, sent.reshape(n_windows, len(LABEL_CODES)), base[live])
 
 
-class _Windows:
-    """Per-window counts of shape ``shape`` for the windows lo, lo + 1, ...
-    not handed out yet, in rows[w - lo]. Windows close in order, so rows
-    are added at the end as blocks reach later windows and handed out from
-    the front; the buffer holds at most the windows between two hand-outs,
-    and as many spare rows, up to _SEED_BATCH."""
+class _Piece(NamedTuple):
+    """Windows lo, lo + 1, ... of one pipeline's run, as the columns of a
+    QberSeries hold them."""
 
-    def __init__(self, *shape: int):
-        self.lo = 0
-        self.top = 0  # windows lo..lo+top-1 may hold counts
-        self.rows = np.zeros((0, *shape), dtype=np.int64)
-
-    def _reach(self, n: int) -> None:
-        if n > len(self.rows):
-            rows = np.zeros((n + min(n, _SEED_BATCH), *self.rows.shape[1:]), dtype=np.int64)
-            rows[: self.top] = self.rows[: self.top]
-            self.rows = rows
-
-    def add(self, lo: int, counts) -> None:
-        """Add counts[k] to window lo + k, for lo at self.lo or later."""
-        a = lo - self.lo
-        top = a + len(counts)
-        self._reach(top)
-        self.rows[a:top] += counts
-        self.top = max(self.top, top)
-
-    def hand_out(self, hi: int):
-        """The counts of windows lo..hi-1, which are closed; the windows
-        from hi on move to the front."""
-        k = hi - self.lo
-        self._reach(k)
-        closed = self.rows[:k].copy()
-        rest = max(self.top - k, 0)
-        self.rows[:rest] = self.rows[k : k + rest]
-        self.rows[rest : k + rest] = 0
-        self.lo, self.top = hi, rest
-        return closed
+    lo: int
+    correct: np.ndarray
+    error: np.ndarray
+    discarded: np.ndarray
+    outcome_counts: np.ndarray
 
 
 class _Tally:
     """Pulse counts of one pipeline per (window, label code, tally slot),
-    for the windows not handed out yet (windows), fed in pulse order so the
-    random policy's coins are too."""
+    fed in pulse order so the random policy's coins are too, for the
+    windows lo, lo + 1, ... not handed out yet, in cells[w - lo]. Windows
+    close in order, so cells are added at the end as blocks reach later
+    windows and handed out from the front; the tally holds at most the
+    windows between two hand-outs, and as many spare rows, up to
+    _SEED_BATCH."""
 
     def __init__(self, double_click_policy: str, assignment_seed):
-        self.windows = _Windows(len(LABEL_CODES), _SLOTS)
+        self.lo = 0
+        self.top = 0  # windows lo..lo+top-1 may hold counts
+        self.cells = np.zeros((0, len(LABEL_CODES), _SLOTS), dtype=np.int64)
         self.coin = None
         if double_click_policy == POLICY_RANDOM:
             self.coin = np.random.default_rng((assignment_seed, 0xD0))
 
+    def _reach(self, n: int) -> None:
+        if n > len(self.cells):
+            cells = np.zeros((n + min(n, _SEED_BATCH), *self.cells.shape[1:]), dtype=np.int64)
+            cells[: self.top] = self.cells[: self.top]
+            self.cells = cells
+
     def add(self, block: _LiveSet, outcomes) -> None:
-        """Count a block whose live pulses end in the outcome codes
-        ``outcomes``, by one np.bincount over them; each other pulse ends in
-        none, so a cell's none slot also gets the label's pulses in that
-        window minus the live ones counted there."""
+        """Count a block, from self.lo on, whose live pulses end in the
+        outcome codes ``outcomes``, by one np.bincount over them; each other
+        pulse ends in none, so a cell's none slot also gets the label's
+        pulses in that window minus the live ones counted there. The
+        block's outcomes in each window must add up to its pulses there."""
         flat = block.base + outcomes
         if self.coin is not None:
             doubles = np.flatnonzero(outcomes == _DOUBLE)
@@ -584,7 +569,30 @@ class _Tally:
             dead = block.sent - counts.sum(axis=-1)
             assert dead.min() >= 0, "more live pulses than pulses sent in a (window, label) cell"
             counts[..., _NONE] += dead
-        self.windows.add(block.lo, counts)
+        assert np.array_equal(counts.sum(axis=(1, 2)), block.pulses), "outcomes per window != pulses sent"
+        a = block.lo - self.lo
+        top = a + block.n_windows
+        self._reach(top)
+        self.cells[a:top] += counts
+        self.top = max(self.top, top)
+
+    def hand_out(self, hi: int, labels) -> _Piece:
+        """Windows lo..hi-1, which are closed, as a _Piece with the columns
+        of the label codes ``labels``, whose rows must add up to the label
+        totals of its cells; the windows from hi on move to the front."""
+        k = hi - self.lo
+        self._reach(k)
+        cells = self.cells[:k]
+        piece = _Piece(self.lo, *_columns(cells, labels))
+        totals = _sifted(cells.sum(axis=0), labels)
+        assert all(
+            np.array_equal(a.sum(axis=0), t) for a, t in zip(piece[1:4], totals)
+        ), "label totals != the sums of the piece's rows"
+        rest = max(self.top - k, 0)
+        self.cells[:rest] = self.cells[k : k + rest]
+        self.cells[rest : k + rest] = 0
+        self.lo, self.top = hi, rest
+        return piece
 
 
 def _columns(cells, labels):
@@ -647,9 +655,9 @@ def sift_and_qber(
     n_windows = _window_count(n, repetition_rate_hz, window_s, "len(sequence) / repetition_rate_hz / window_s")
     codes = np.array([label_code(s) for s in sequence], dtype=np.int8)
     index, outcomes = [], []
-    for rec in sorted(records, key=lambda r: r.pulse_index):
+    for rec in sorted(records, key=lambda r: SEED.check("pulse_index", r.pulse_index)):
         idx = rec.pulse_index
-        if not 0 <= idx < n:
+        if idx >= n:
             raise ConfigurationError(f"record pulse_index {idx} outside the sequence of {n} pulses")
         if index and idx == index[-1]:
             raise ConfigurationError(f"two records for pulse_index {idx}")
@@ -674,7 +682,7 @@ def sift_and_qber(
         live = np.flatnonzero(outcomes != _NONE)
         tally.add(_live_set(lo, edges, codes[index], live), outcomes[live])
     labels = np.unique(codes).tolist()
-    return _series(labels, window_s, _columns(tally.windows.hand_out(n_windows), labels))
+    return _series(labels, window_s, tally.hand_out(n_windows, labels)[1:])
 
 
 @contextmanager
@@ -686,17 +694,6 @@ def _out_of_range_is_a_config_error():
             yield
     except FloatingPointError as exc:
         raise ConfigurationError(f"the configuration takes the simulation out of floating-point range: {exc}") from None
-
-
-class _Piece(NamedTuple):
-    """Windows lo, lo + 1, ... of one pipeline's run, as the columns of a
-    QberSeries hold them."""
-
-    lo: int
-    correct: np.ndarray
-    error: np.ndarray
-    discarded: np.ndarray
-    outcome_counts: np.ndarray
 
 
 def _sent_labels(config: RunConfig) -> list[int]:
@@ -732,7 +729,6 @@ def _simulate(config: RunConfig, inline_flags, labels):
     n = config.n_pulses()
     n_windows = _window_count(n, rate, window_s, "duration_s / window_s")
     tallies = [_Tally(det.double_click_policy, config.detection_seed) for _ in inline_flags]
-    pulses = _Windows()
     mu = label_table(enc).mu
     bound = click_bound(mu, det)
     all_live = bound >= _ALL_LIVE
@@ -789,30 +785,11 @@ def _simulate(config: RunConfig, inline_flags, labels):
                 # q0, q1 kept bound until the next block: freed earlier, glibc trims the heap and faults it in again
                 q0, q1 = branch_probabilities(x, det.basis)
                 tally.add(block, sample_outcomes(joint_probabilities(q0, q1, mu, det), u_live))
-        pulses.add(lo, np.diff(edges))
         start = stop
         # the next block begins in this block's last window or a later one
         closed = n_windows if stop == n else lo + len(edges) - 2
-        if closed - pulses.lo >= _SEED_BATCH or stop == n:
-            yield _pieces(closed, pulses, tallies, labels)
-
-
-def _pieces(hi: int, pulses: _Windows, tallies, labels) -> tuple[_Piece, ...]:
-    """Each tally's closed windows pulses.lo..hi-1 as a _Piece, checked
-    against the pulses sent in them."""
-    lo = pulses.lo
-    sent = pulses.hand_out(hi)
-    pieces = []
-    for tally in tallies:
-        cells = tally.windows.hand_out(hi)
-        assert np.array_equal(cells.sum(axis=(1, 2)), sent), "outcomes per window != pulses sent"
-        piece = _Piece(lo, *_columns(cells, labels))
-        totals = _sifted(cells.sum(axis=0), labels)
-        assert all(
-            np.array_equal(a.sum(axis=0), t) for a, t in zip(piece[1:4], totals)
-        ), "label totals != the sums of the piece's rows"
-        pieces.append(piece)
-    return tuple(pieces)
+        if closed - tallies[0].lo >= _SEED_BATCH or stop == n:
+            yield tuple(tally.hand_out(closed, labels) for tally in tallies)
 
 
 def _collect(config: RunConfig, inline_flags) -> list[RunResult]:

@@ -260,11 +260,11 @@ def test_a_failure_late_in_the_run_leaves_no_file(tmp_path, monkeypatch, capsys)
     out_path.write_bytes(b"an earlier run\n")
     handed_out = []
 
-    def hand_out(hi, *args, formula=runner._pieces):
+    def hand_out(self, hi, labels, formula=runner._Tally.hand_out):
         handed_out.append(hi)
-        return formula(hi, *args)
+        return formula(self, hi, labels)
 
-    monkeypatch.setattr(runner, "_pieces", hand_out)
+    monkeypatch.setattr(runner._Tally, "hand_out", hand_out)
     # blocks of _SEED_BATCH one-pulse windows, so pieces close before the
     # overflow, which a block of _BLOCK_WINDOWS windows would hold
     monkeypatch.setattr(runner, "_BLOCK_WINDOWS", runner._SEED_BATCH)

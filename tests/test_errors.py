@@ -18,7 +18,7 @@ from pognac.encoder import (
 )
 from pognac.errors import ConfigurationError
 from pognac.polarization import H
-from pognac.receiver import DetectorParams, branch_powers, click_probabilities
+from pognac.receiver import DetectionRecord, DetectorParams, branch_powers, click_probabilities
 from pognac.runner import SEQUENCE_HVD, RunConfig, generate_sequence, sift_and_qber
 
 NAN, INF = math.nan, math.inf
@@ -60,6 +60,10 @@ def _phases(pulse, fwhm=1.2e-9):
     return phases_from_waveform(pulse, 0.0, 5e-9, 4.0, fwhm)
 
 
+def _record(pulse_index):
+    return DetectionRecord(pulse_index, "A", "click_1")
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -79,6 +83,12 @@ def _phases(pulse, fwhm=1.2e-9):
         pytest.param(lambda: sift_and_qber([], ["D", "A"], 1.0, INF), "repetition_rate_hz", id="rate"),
         pytest.param(lambda: generate_sequence(SEQUENCE_HVD, 4, -1), "seed", id="seed"),
         pytest.param(lambda: generate_sequence(SEQUENCE_HVD, 4, 2.0), "seed", id="seed-float"),
+        pytest.param(lambda: generate_sequence(SEQUENCE_HVD, 4.0, 1), "n_pulses", id="n-pulses-float"),
+        pytest.param(lambda: generate_sequence(SEQUENCE_HVD, NAN, 1), "n_pulses", id="n-pulses-nan"),
+        pytest.param(lambda: generate_sequence(SEQUENCE_HVD, 2.5, 1), "n_pulses", id="n-pulses-fraction"),
+        pytest.param(lambda: generate_sequence(SEQUENCE_HVD, True, 1), "n_pulses", id="n-pulses-bool"),
+        pytest.param(lambda: sift_and_qber([_record(1.0)], ["D", "A"], 1.0, 1.0), "pulse_index", id="index-float"),
+        pytest.param(lambda: sift_and_qber([_record(True)], ["D", "A"], 1.0, 1.0), "pulse_index", id="index-bool"),
         pytest.param(lambda: RunConfig(detection_seed=2.7), "detection_seed", id="seed-fraction"),
         pytest.param(lambda: RunConfig(sequence_seed=True), "sequence_seed", id="seed-bool"),
         pytest.param(lambda: sift_and_qber([], ["D"], 1.0, 1.0, assignment_seed=-1), "assignment_seed", id="coin-seed"),

@@ -491,23 +491,68 @@ def test_live_tally_counts_every_other_pulse_as_none(policy):
     assert block.lo == lo and block.n_windows == hi - lo + 1
     assert len(block.base) == len(live) and block.sent.shape == (hi - lo + 1, len(LABEL_CODES))
     tally.add(block, outcomes)
-    cells = tally.windows.hand_out(400)
+    # the tally holds windows 0..hi, the block's cells from lo on
+    assert tally.lo == 0 and tally.top == hi + 1
+    cells = tally.cells[: hi + 1]
     expected = live_tally_reference(400, window, codes, live, outcomes, policy, 9)
-    np.testing.assert_array_equal(cells, expected)
+    np.testing.assert_array_equal(cells, expected[: hi + 1])
     # a none slot is the label's pulses in the window minus its live pulses
     # that did not end in none
-    sent = np.zeros((400, len(LABEL_CODES)), dtype=np.int64)
+    sent = np.zeros((hi + 1, len(LABEL_CODES)), dtype=np.int64)
     np.add.at(sent, (window, codes), 1)
     clicked = cells.sum(axis=-1) - cells[..., runner._NONE]
     np.testing.assert_array_equal(cells[..., runner._NONE], sent - clicked)
     assert cells[ids[7], :, runner._NONE].sum() == runs[8] - runs[7]
+    labels = list(range(len(LABEL_CODES)))
+    assert_hands_out(tally, 400, labels, expected)
     # the same block with every pulse live, its outcome codes none but for
     # the live ones, gives the same cells
     every = runner._Tally(policy, 9)
     full = np.full(n, runner._NONE, dtype=np.uint8)
     full[live] = outcomes
     every.add(runner._live_set(lo, edges, codes, slice(None)), full)
-    np.testing.assert_array_equal(every.windows.hand_out(400), expected)
+    np.testing.assert_array_equal(every.cells[: hi + 1], expected[: hi + 1])
+    assert_hands_out(every, 400, labels, expected)
+
+
+def assert_hands_out(tally, hi, labels, cells):
+    """tally.hand_out(hi, labels) gives the columns of ``cells``, the tally
+    cells of windows tally.lo..hi-1, and leaves the tally empty."""
+    lo = tally.lo
+    piece = tally.hand_out(hi, labels)
+    assert piece.lo == lo
+    for got, want in zip(piece[1:], runner._columns(cells, labels), strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert tally.lo == hi and tally.top == 0 and not tally.cells.any()
+
+
+@pytest.mark.parametrize("check", ["pulses-per-window", "label-totals"])
+def test_the_tally_checks_every_block_and_every_hand_out(check):
+    if check == "pulses-per-window":
+        # windows 0 and 1 of three pulses each, every pulse live
+        codes = np.array([0, 1, 2, 0, 1, 2], dtype=np.int8)
+        block = runner._live_set(0, np.array([0, 3, 6]), codes, slice(None))
+        np.testing.assert_array_equal(block.pulses, [3, 3])
+        outcomes = np.zeros(len(codes), dtype=np.uint8)
+        runner._Tally("discard", 0).add(block, outcomes)
+        # pulse 2's cell index moved into window 1
+        base = block.base.copy()
+        base[2] += len(LABEL_CODES) * runner._SLOTS
+        with pytest.raises(AssertionError, match="^outcomes per window != pulses sent$"):
+            runner._Tally("discard", 0).add(block._replace(base=base), outcomes)
+    else:
+        sequence = ["D", "A"] * 10
+        records = [DetectionRecord(i, POST_PC_LABEL[label], "click_0") for i, label in enumerate(sequence)]
+
+        def corrupt(cells, labels, columns=runner._columns):
+            correct, *rest = columns(cells, labels)
+            correct[0, 0] += 1
+            return (correct, *rest)
+
+        sift_and_qber(records, sequence, 10.0, 1.0)
+        with mock.patch.object(runner, "_columns", corrupt):
+            with pytest.raises(AssertionError, match="^label totals != the sums of the piece's rows$"):
+                sift_and_qber(records, sequence, 10.0, 1.0)
 
 
 def test_sift_and_qber_counts_records_through_the_live_tally():
@@ -933,7 +978,7 @@ def test_python_calls_per_window_and_per_block_are_bounded():
     # calls per window
     per_window = marginal_calls(lambda windows: random_policy_config(duration_s=windows * 1e-3, window_s=1e-3), 10, 50)
     assert per_window < 3
-    # one window of 4 and of 20 partly live blocks of 2 * _BLOCK pulses: 22.0
+    # one window of 4 and of 20 partly live blocks of 2 * _BLOCK pulses: 19.0
     # calls per block
     rate, block = 2**20, 2 * runner._BLOCK
 
@@ -1212,8 +1257,9 @@ def test_csv_chunks_join_to_the_row_by_row_render():
     assert (series.outcome_counts.sum(axis=1) == 0).any()
     rows = series.rows
     assert any(math.isnan(r.qber) for r in rows)
-    chunks = list(series.csv_chunks())
-    assert len(chunks) == 1 + math.ceil(n_windows / runner._SEED_BATCH)
-    assert "".join(chunks) == series.to_csv() == rendered_row_by_row(rows)
+    columns = series.correct, series.error, series.discarded
+    pieces = list(runner._csv_rows(series.labels, series.window_s, 0, *columns))
+    assert len(pieces) == math.ceil(n_windows / runner._SEED_BATCH)
+    assert runner._CSV_HEADER + "".join(pieces) == series.to_csv() == rendered_row_by_row(rows)
     with mock.patch.object(runner, "_SEED_BATCH", 7):
-        assert "".join(series.csv_chunks()) == series.to_csv()
+        assert series.to_csv() == rendered_row_by_row(rows)
